@@ -32,7 +32,6 @@ configuration); positional arguments override the node counts.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -49,10 +48,7 @@ from repro.topology.devices import perlmutter_testbed
 #: the same fat-tree scenario under a fault plan (whole fabric degraded 10%
 #: plus one NIC attachment down), so the fault path — deferred routes,
 #: mid-run reallocation, reroute-on-failure — is perf-gated too.  The
-#: ``fattree-approx`` variant enables the contention-scaling knobs
-#: (ε-approximate reallocation + event coarsening), so the approximate
-#: engine is perf-gated alongside the exact one and its allocator counters
-#: land in the BENCH record.  The ``fattree-ecmp`` variant routes every flow
+#: ``fattree-ecmp`` variant routes every flow
 #: through the multipath policy lane (equal-cost enumeration + deterministic
 #: hashing), and ``photonic-reactive`` swaps profile-driven provisioning for
 #: the telemetry loop — so both new control paths are perf-gated from day
@@ -62,13 +58,9 @@ FABRICS = (
     "fattree",
     "photonic",
     "fattree-faulted",
-    "fattree-approx",
     "fattree-ecmp",
     "photonic-reactive",
 )
-
-#: Knobs behind the ``fattree-approx`` benchmark variant.
-APPROX_KNOBS = {"allocator_epsilon": 0.05, "coarsen_quantum": 1e-6}
 
 #: Allocator counters copied from the run's metrics into the BENCH record
 #: (flow mode only; the analytic model has no allocator).
@@ -76,7 +68,6 @@ STAT_KEYS = (
     "allocator_invocations",
     "rerated_components",
     "rerated_flows",
-    "epsilon_skips",
 )
 
 #: The fault plan behind the ``fattree-faulted`` benchmark variant.
@@ -113,10 +104,6 @@ def build_scenario(fabric: str, num_nodes: int, network_mode: str) -> Scenario:
     knobs: dict = {"network_mode": network_mode}
     if variant == "faulted":
         knobs["faults"] = FAULT_PLAN
-    elif variant == "approx" and network_mode == "flow":
-        # The knobs only exist in flow mode; the analytic side of the ratio
-        # is the plain fat tree (same scenario, same pricing).
-        knobs.update(APPROX_KNOBS)
     elif variant == "ecmp" and network_mode == "flow":
         knobs["routing_policy"] = "ecmp"
     elif variant == "reactive" and network_mode == "flow":
@@ -152,53 +139,12 @@ def run_point(fabric: str, num_nodes: int, network_mode: str, repeat: int = 3) -
         "steady_iteration_s": metrics["steady_iteration_time"],
         "iterations": NUM_ITERATIONS,
     }
-    # Allocator counters (flow mode only) make the contention-scaling knobs'
-    # effect auditable from the BENCH line itself: the approx variant should
-    # show epsilon_skips > 0 and fewer re-rated components per invocation.
+    # Allocator counters (flow mode only) make the solver work auditable
+    # from the BENCH line itself.
     for key in STAT_KEYS:
         if key in metrics:
             point[key] = int(metrics[key])
     return point
-
-
-def run_routing_overhead(num_nodes: int, repeat: int = 5) -> dict:
-    """Wall-time cost of the routing-policy knob's default lane — about 1.0.
-
-    Spelling ``routing_policy="single"`` out loud must stay the pre-knob
-    code path (no router is instantiated), so explicit-over-default is a
-    pure-noise ratio gated tightly (1.05x, no slack) in the baseline: any
-    constant overhead sneaking onto the single-path lane trips it.  Best-of-5
-    on both sides keeps millisecond wall times stable enough for the tight
-    gate.
-    """
-    default = build_scenario("fattree", num_nodes, "flow")
-    explicit = replace(
-        default,
-        knobs={**dict(default.knobs), "routing_policy": "single"},
-        name=f"{default.name}-single",
-    )
-
-    # One untimed warm-up of each side, then interleaved timed repeats:
-    # running all of one side first hands the other warm allocator caches
-    # and skews the ratio well away from 1.0.
-    run_scenario(default)
-    run_scenario(explicit)
-    default_s = single_s = math.inf
-    for _ in range(repeat):
-        started = time.perf_counter()
-        run_scenario(default)
-        default_s = min(default_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        run_scenario(explicit)
-        single_s = min(single_s, time.perf_counter() - started)
-    return {
-        "bench": "routing_overhead",
-        "fabric": "fattree",
-        "gpus": num_nodes * 4,
-        "default_s": round(default_s, 6),
-        "single_s": round(single_s, 6),
-        "ratio": round(single_s / max(default_s, 1e-12), 6),
-    }
 
 
 def _comparable(result) -> tuple:
@@ -276,15 +222,6 @@ def main(argv) -> int:
                 f"{points['analytic']['wall_time_s']:>13.4f} "
                 f"{points['flow']['wall_time_s']:>10.4f} {ratio:>6.1f}x"
             )
-
-    print(f"\n{'routing':>12} {'gpus':>5} {'default (s)':>13} {'single (s)':>10} {'ratio':>7}")
-    for num_nodes in sizes:
-        point = run_routing_overhead(num_nodes)
-        print("BENCH " + json.dumps(point, sort_keys=True))
-        print(
-            f"{'fattree':>12} {point['gpus']:>5} {point['default_s']:>13.4f} "
-            f"{point['single_s']:>10.4f} {point['ratio']:>6.2f}x"
-        )
 
     fork_points = FORK_SWEEP_POINTS[:1] if quick else FORK_SWEEP_POINTS
     print(f"\n{'fork sweep':>12} {'gpus':>5} {'straight (s)':>13} {'forked (s)':>10} {'ratio':>7}")

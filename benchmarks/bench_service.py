@@ -47,11 +47,11 @@ def spec(points: int) -> dict:
         "scenario": {
             "workload": "tiny",
             "cluster": "perlmutter:2",
-            "backend": "electrical",
+            "backend": "ocs",
             "iterations": 2,
             "knobs": {"network_mode": "flow"},
         },
-        "grid": {"allocator_epsilon": [1e-3 * (k + 1) for k in range(points)]},
+        "grid": {"reconfiguration_delay": [1e-3 * (k + 1) for k in range(points)]},
     }
 
 

@@ -23,12 +23,9 @@ the flow simulator roughly doubles every ``flow_mode`` ratio and trips the
 gate on any runner.  The baseline's optional ``tolerance_overrides`` and
 ``slack_overrides`` maps loosen (or tighten) individual identities — keys
 match exactly or, with a trailing ``*``, as a prefix — and both are
-preserved verbatim across ``--update``.  Slack overrides exist for
-identities whose two sides run the *same* code (e.g. the
-``routing_overhead`` default-lane gate): the global absolute slack would
-swamp a tight 1.05x tolerance there, so those identities pin slack to 0,
-and ``--update`` pins their baseline reference at the identity 1.0 (the
-true value by construction) instead of recording one run's noise.
+preserved verbatim across ``--update``.  A slack override matters for a
+ratio near 1.0 under a tight tolerance, where the global absolute slack
+would otherwise swamp the gate.
 
 Simulation *results* are also pinned: the flow-mode ``steady_iteration_s``
 values are bitwise-deterministic for a given code version, so they are
@@ -70,12 +67,6 @@ DEFAULT_ABSOLUTE_SLACK = 0.75
 #: Relative tolerance for simulated-time equality (results are deterministic;
 #: this only absorbs printing round-trips).
 STEADY_REL_TOL = 1e-9
-#: Ratio identities whose two sides run the *same* code (e.g. the
-#: routing-policy default lane vs an explicit ``routing_policy="single"``).
-#: Their true ratio is 1.0 by construction, so ``--update`` pins the
-#: reference there instead of recording one run's noise — the measurement
-#: only has to stay under the (tight, zero-slack) tolerance.
-IDENTITY_RATIO_PREFIXES = ("routing_overhead:",)
 
 
 def parse_bench_lines(lines: Iterable[str]) -> List[dict]:
@@ -107,10 +98,6 @@ def distill(records: List[dict]) -> Tuple[Dict[str, float], Dict[str, float]]:
             ratios[f"fork_sweep:{record['backend']}:{record['gpus']}"] = record[
                 "ratio"
             ]
-        elif bench == "routing_overhead":
-            ratios[
-                f"routing_overhead:{record['fabric']}:{record['gpus']}"
-            ] = record["ratio"]
         elif bench == "flow_mode":
             identity = (record["fabric"], record["gpus"])
             flow_walls.setdefault(identity, {})[record["network_mode"]] = record[
@@ -132,7 +119,7 @@ def tolerance_for(key: str, default: float, overrides: Dict[str, float]) -> floa
     """Resolve ``key``'s value against per-identity baseline overrides.
 
     An override key either matches exactly or, with a trailing ``*``, as a
-    prefix (``"flow_mode:fattree-approx*"`` covers every GPU count of that
+    prefix (``"flow_mode:fattree-faulted*"`` covers every GPU count of that
     variant).  Exact matches win over prefixes; among prefixes the longest
     wins, so narrower overrides beat broader ones.  Shared by the tolerance
     and the absolute-slack override maps — the resolution rules are
@@ -236,12 +223,7 @@ def main(argv=None) -> int:
             "tolerance": args.tolerance or DEFAULT_TOLERANCE,
             "absolute_slack": DEFAULT_ABSOLUTE_SLACK,
             "ratios": {
-                key: (
-                    1.0
-                    if key.startswith(IDENTITY_RATIO_PREFIXES)
-                    else round(value, 6)
-                )
-                for key, value in sorted(ratios.items())
+                key: round(value, 6) for key, value in sorted(ratios.items())
             },
             "steady": {
                 key: value for key, value in sorted(steady.items())

@@ -41,12 +41,10 @@ installed when the flows start, and real flow drains feed the controller's
 busy-circuit bookkeeping
 (:class:`~repro.simulator.flow_network.PhotonicFlowNetworkModel`).
 
-Every flow-capable backend also accepts the contention-scaling knobs
-``allocator_epsilon``, ``coarsen_quantum``, and ``fill_workers`` (flow mode
-only; see :class:`~repro.simulator.flows.FlowSimulator`): ε-approximate
-reallocation with deferred-dirty tracking, rate-change event coarsening onto
-a time quantum, and parallel per-component water-filling.  All default to
-off, which is bit-for-bit the exact engine.
+Every flow-capable backend also accepts a ``fill_workers`` knob (flow mode
+only; see :class:`~repro.simulator.flows.FlowSimulator`): the size of a
+process pool that water-fills large disjoint sharing components in
+parallel.  It changes wall time only; the default ``0`` fills serially.
 
 The packet-routed backends (``electrical``, ``fattree``, ``railopt``)
 additionally accept a ``routing_policy`` knob in flow mode — ``"single"``
@@ -207,43 +205,22 @@ def _check_network_mode(network_mode: object) -> str:
     return str(mode)
 
 
-#: Names of the flow-mode contention-scaling knobs shared by every
-#: flow-capable backend (see :class:`~repro.simulator.flows.FlowSimulator`).
-FLOW_APPROX_KNOBS = ("allocator_epsilon", "coarsen_quantum", "fill_workers")
+def _fill_workers_knob(mode: str, backend: str, fill_workers: object) -> int:
+    """Validate the ``fill_workers`` knob for one backend instantiation.
 
-
-def _flow_approx_knobs(
-    mode: str,
-    backend: str,
-    allocator_epsilon: object,
-    coarsen_quantum: object,
-    fill_workers: object,
-) -> Dict[str, object]:
-    """Validate the contention-scaling knobs for one backend instantiation.
-
-    Returns the keyword arguments for the flow-network factory.  The knobs
-    only make sense in flow mode — the analytic model has no allocator to
-    approximate — so nonzero values under ``analytic`` are a configuration
+    The pool only fills flow-mode allocations — the analytic model has no
+    allocator — so a nonzero value under ``analytic`` is a configuration
     error rather than a silent no-op.
     """
-    epsilon = 0.0 if allocator_epsilon is None else float(allocator_epsilon)
-    quantum = 0.0 if coarsen_quantum is None else float(coarsen_quantum)
     workers = 0 if fill_workers is None else int(fill_workers)
-    if epsilon < 0.0 or quantum < 0.0 or workers < 0:
+    if workers < 0:
+        raise ConfigurationError(f"fill_workers must be non-negative, got {workers!r}")
+    if mode != "flow" and workers:
         raise ConfigurationError(
-            "allocator_epsilon, coarsen_quantum, and fill_workers must be "
-            f"non-negative, got {epsilon!r}/{quantum!r}/{workers!r}"
+            "fill_workers only applies to network_mode='flow'; "
+            f"backend {backend!r} is in {mode} mode"
         )
-    if mode != "flow" and (epsilon or quantum or workers):
-        raise ConfigurationError(
-            f"{'/'.join(FLOW_APPROX_KNOBS)} only apply to "
-            f"network_mode='flow'; backend {backend!r} is in {mode} mode"
-        )
-    return {
-        "allocator_epsilon": epsilon,
-        "coarsen_quantum": quantum,
-        "fill_workers": workers,
-    }
+    return workers
 
 
 def _routing_policy_knob(mode: str, backend: str, routing_policy: object) -> str:
@@ -252,7 +229,7 @@ def _routing_policy_knob(mode: str, backend: str, routing_policy: object) -> str
     Routing policies select paths per flow, so they only exist in flow mode —
     the analytic models never route individual transfers.  A non-default
     policy under ``analytic`` is a configuration error rather than a silent
-    no-op, mirroring :func:`_flow_approx_knobs`.
+    no-op, mirroring :func:`_fill_workers_knob`.
     """
     policy = "single" if routing_policy is None else str(routing_policy)
     if policy not in ROUTING_POLICIES:
@@ -341,8 +318,8 @@ def _install_faults(
         "technology",
         "network_mode",
         "faults",
-    )
-    + FLOW_APPROX_KNOBS,
+        "fill_workers",
+    ),
 )
 def _photonic_backend(
     cluster: ClusterSpec,
@@ -353,14 +330,10 @@ def _photonic_backend(
     technology: Optional[OCSTechnology] = None,
     network_mode: Optional[str] = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
     fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "photonic", allocator_epsilon, coarsen_quantum, fill_workers
-    )
+    workers = _fill_workers_knob(mode, "photonic", fill_workers)
     # Validate the provisioning knob (bool, or "profile"/"none"/"reactive")
     # up front so both modes reject bad values with the same error.
     shim_options = shim_options_for_provisioning(provisioning)
@@ -373,7 +346,7 @@ def _photonic_backend(
                 provisioning=provisioning,
                 technology=technology,
                 registry=registry,
-                **approx,
+                fill_workers=workers,
             ),
             faults,
             _CIRCUIT_FLOW_FAULTS,
@@ -411,8 +384,13 @@ def _photonic_backend(
 @backend(
     "electrical",
     "Fully-connected electrical rails (the Fig. 8 baseline)",
-    knobs=("use_tree_collectives", "network_mode", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=(
+        "use_tree_collectives",
+        "network_mode",
+        "routing_policy",
+        "faults",
+        "fill_workers",
+    ),
 )
 def _electrical_backend(
     cluster: ClusterSpec,
@@ -422,14 +400,10 @@ def _electrical_backend(
     network_mode: Optional[str] = None,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
     fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "electrical", allocator_epsilon, coarsen_quantum, fill_workers
-    )
+    workers = _fill_workers_knob(mode, "electrical", fill_workers)
     policy = _routing_policy_knob(mode, "electrical", routing_policy)
     if mode == "flow":
         if use_tree_collectives:
@@ -438,7 +412,9 @@ def _electrical_backend(
                 "use_tree_collectives is not supported in flow mode"
             )
         return _install_faults(
-            electrical_flow_network(cluster, mesh, routing_policy=policy, **approx),
+            electrical_flow_network(
+                cluster, mesh, routing_policy=policy, fill_workers=workers
+            ),
             faults,
             _LINK_FAULTS,
             "electrical",
@@ -474,8 +450,13 @@ def _ideal_backend(
 @backend(
     "fattree",
     "Packet transfers routed through the k-ary fat-tree graph",
-    knobs=("network_mode", "oversubscription", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=(
+        "network_mode",
+        "oversubscription",
+        "routing_policy",
+        "faults",
+        "fill_workers",
+    ),
 )
 def _fattree_backend(
     cluster: ClusterSpec,
@@ -485,15 +466,11 @@ def _fattree_backend(
     oversubscription: float = 1.0,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
     fill_workers: object = None,
 ) -> NetworkModel:
     oversubscription = float(oversubscription)
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "fattree", allocator_epsilon, coarsen_quantum, fill_workers
-    )
+    workers = _fill_workers_knob(mode, "fattree", fill_workers)
     policy = _routing_policy_knob(mode, "fattree", routing_policy)
     if mode == "flow":
         model: NetworkModel = fat_tree_flow_network(
@@ -501,7 +478,7 @@ def _fattree_backend(
             mesh,
             oversubscription=oversubscription,
             routing_policy=policy,
-            **approx,
+            fill_workers=workers,
         )
         return _install_faults(model, faults, _LINK_FAULTS, "fattree", "flow")
     model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
@@ -511,8 +488,13 @@ def _fattree_backend(
 @backend(
     "railopt",
     "Packet transfers routed through the leaf/spine rail-optimized graph",
-    knobs=("always_spine", "network_mode", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=(
+        "always_spine",
+        "network_mode",
+        "routing_policy",
+        "faults",
+        "fill_workers",
+    ),
 )
 def _railopt_backend(
     cluster: ClusterSpec,
@@ -522,14 +504,10 @@ def _railopt_backend(
     network_mode: Optional[str] = None,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
     fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "railopt", allocator_epsilon, coarsen_quantum, fill_workers
-    )
+    workers = _fill_workers_knob(mode, "railopt", fill_workers)
     policy = _routing_policy_knob(mode, "railopt", routing_policy)
     if mode == "flow":
         model: NetworkModel = rail_optimized_flow_network(
@@ -537,7 +515,7 @@ def _railopt_backend(
             mesh,
             always_spine=bool(always_spine),
             routing_policy=policy,
-            **approx,
+            fill_workers=workers,
         )
         return _install_faults(model, faults, _LINK_FAULTS, "railopt", "flow")
     model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
@@ -547,8 +525,13 @@ def _railopt_backend(
 @backend(
     "ocs",
     "Bare OCS rails without Opus: schedule changes block for the switch time",
-    knobs=("reconfiguration_delay", "technology", "network_mode", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=(
+        "reconfiguration_delay",
+        "technology",
+        "network_mode",
+        "faults",
+        "fill_workers",
+    ),
 )
 def _ocs_backend(
     cluster: ClusterSpec,
@@ -558,14 +541,10 @@ def _ocs_backend(
     technology: Optional[OCSTechnology] = None,
     network_mode: Optional[str] = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
     fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "ocs", allocator_epsilon, coarsen_quantum, fill_workers
-    )
+    workers = _fill_workers_knob(mode, "ocs", fill_workers)
     if mode == "flow":
         return _install_faults(
             bare_ocs_flow_network(
@@ -574,7 +553,7 @@ def _ocs_backend(
                 reconfiguration_delay=reconfiguration_delay,
                 technology=technology,
                 registry=registry,
-                **approx,
+                fill_workers=workers,
             ),
             faults,
             _CIRCUIT_FLOW_FAULTS,

@@ -301,24 +301,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "paths) — shorthand for --knob routing_policy=...",
     )
     parser.add_argument(
-        "--allocator-epsilon",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="flow-mode ε-approximate reallocation: skip component re-rates "
-        "that would move no flow's rate by more than this relative fraction; "
-        "0 is exact (shorthand for --knob allocator_epsilon=...)",
-    )
-    parser.add_argument(
-        "--coarsen-quantum",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="flow-mode event coarsening: batch reallocation triggers landing "
-        "within this time quantum into one solver pass; 0 is exact "
-        "(shorthand for --knob coarsen_quantum=...)",
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="FAULTS.JSON",
@@ -352,20 +334,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
                 f"--knob routing_policy={existing}"
             )
         knobs["routing_policy"] = args.routing_policy
-    for flag, knob in (
-        ("allocator_epsilon", "allocator_epsilon"),
-        ("coarsen_quantum", "coarsen_quantum"),
-    ):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        existing = knobs.get(knob)
-        if existing is not None and float(existing) != value:
-            raise ConfigurationError(
-                f"--{flag.replace('_', '-')} {value} conflicts with "
-                f"--knob {knob}={existing}"
-            )
-        knobs[knob] = value
     if getattr(args, "fault_plan", None) is not None:
         from ..simulator.faults import FaultPlan
 
@@ -503,8 +471,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             backend=name,
             network_mode=args.network_mode,
             num_iterations=args.iterations,
-            allocator_epsilon=args.allocator_epsilon or 0.0,
-            coarsen_quantum=args.coarsen_quantum or 0.0,
         )
         for count in endpoints
         for name in backends
@@ -584,10 +550,6 @@ def _submit_spec_from_args(args: argparse.Namespace) -> dict:
                 f"--knob network_mode={existing}"
             )
         knobs["network_mode"] = args.network_mode
-    for flag in ("allocator_epsilon", "coarsen_quantum"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            knobs[flag] = value
     if getattr(args, "fault_plan", None) is not None:
         if "faults" in knobs:
             raise ConfigurationError(
@@ -815,21 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser.add_argument(
         "--network-mode", choices=NETWORK_MODES, default="flow"
     )
-    scale_parser.add_argument(
-        "--allocator-epsilon",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="flow-mode ε-approximate reallocation (0 = exact); the key to "
-        "10k-endpoint-and-up fat trees",
-    )
-    scale_parser.add_argument(
-        "--coarsen-quantum",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="flow-mode event coarsening quantum (0 = exact)",
-    )
     scale_parser.add_argument("--iterations", type=int, default=2)
     scale_parser.add_argument("--workers", type=int, default=None)
     scale_parser.add_argument(
@@ -937,13 +884,18 @@ def build_parser() -> argparse.ArgumentParser:
     fig8_parser = subparsers.add_parser(
         "fig8", help="the paper's Fig. 8 reconfiguration-latency sweep"
     )
+    # The paper's own trace on four nodes: the smallest scenario that
+    # reconfigures every steady iteration (the tiny preset only switches in
+    # the profiling iteration, so its curve is flat).
     fig8_parser.add_argument(
-        "--workload", default="tiny", help=f"preset: {sorted(WORKLOAD_PRESETS)}"
+        "--workload",
+        default="paper-trace",
+        help=f"preset: {sorted(WORKLOAD_PRESETS)}",
     )
     fig8_parser.add_argument(
         "--workload-arg", action="append", default=[], metavar="KEY=VALUE"
     )
-    fig8_parser.add_argument("--cluster", default="perlmutter:2")
+    fig8_parser.add_argument("--cluster", default="perlmutter:4")
     fig8_parser.add_argument(
         "--delays",
         default="1e-8,7e-6,1e-5,0.015,0.025,0.1",

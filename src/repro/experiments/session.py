@@ -216,8 +216,7 @@ class SimulationSession(Snapshottable):
         flow_stats = getattr(self.network, "flow_stats", None)
         if flow_stats is not None:
             # Flow-mode allocator counters (whole-run totals): how many solver
-            # passes ran, over how many components/flows, and how many were
-            # ε-skipped — the observability hook for the approximation knobs.
+            # passes ran, over how many components and flows.
             for key, value in flow_stats.as_dict().items():
                 metrics[key] = float(value)
         return ScenarioResult(

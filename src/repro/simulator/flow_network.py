@@ -224,17 +224,12 @@ class FlowNetworkModel(TopologyNetworkModel):
         cluster: ClusterSpec,
         mesh: DeviceMesh,
         topology: Topology,
-        allocator_epsilon: float = 0.0,
-        coarsen_quantum: float = 0.0,
         fill_workers: int = 0,
         routing_policy: str = "single",
     ) -> None:
         super().__init__(cluster, mesh, topology)
-        #: Contention-scaling knobs, handed to every simulator this model
-        #: builds (see :class:`~repro.simulator.flows.FlowSimulator`); the
-        #: defaults keep the exact engine, bit-for-bit.
-        self.allocator_epsilon = float(allocator_epsilon)
-        self.coarsen_quantum = float(coarsen_quantum)
+        #: Process-pool size for water-filling, handed to every simulator
+        #: this model builds (see :class:`~repro.simulator.flows.FlowSimulator`).
         self.fill_workers = int(fill_workers)
         #: Multipath routing policy (see :mod:`repro.simulator.routing`).
         #: ``single`` — the default — takes exactly the pre-policy code path:
@@ -312,8 +307,6 @@ class FlowNetworkModel(TopologyNetworkModel):
         """A simulator carrying this model's knobs and shared counters."""
         simulator = FlowSimulator(
             topology=self.topology,
-            allocator_epsilon=self.allocator_epsilon,
-            coarsen_quantum=self.coarsen_quantum,
             fill_workers=self.fill_workers,
             stats=self.flow_stats,
         )
@@ -604,8 +597,6 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
         reconfiguration_delay: Optional[float] = None,
         shim_options: Optional["ShimOptions"] = None,
         registry: Optional["GroupRegistry"] = None,
-        allocator_epsilon: float = 0.0,
-        coarsen_quantum: float = 0.0,
         fill_workers: int = 0,
     ) -> None:
         # Imported lazily: repro.core pulls repro.experiments (through
@@ -619,14 +610,7 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
                 "the photonic fabric must be built from the same cluster "
                 "specification as the network model"
             )
-        super().__init__(
-            cluster,
-            mesh,
-            fabric.topology,
-            allocator_epsilon=allocator_epsilon,
-            coarsen_quantum=coarsen_quantum,
-            fill_workers=fill_workers,
-        )
+        super().__init__(cluster, mesh, fabric.topology, fill_workers=fill_workers)
         self.fabric = fabric
         self._shim_options = shim_options
         self._registry = registry
@@ -945,8 +929,6 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
 def electrical_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
     fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
@@ -955,8 +937,6 @@ def electrical_flow_network(
         cluster,
         mesh,
         build_fully_connected_rail_topology(cluster),
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
         fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
@@ -966,8 +946,6 @@ def fat_tree_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
     oversubscription: float = 1.0,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
     fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
@@ -977,8 +955,6 @@ def fat_tree_flow_network(
         cluster,
         mesh,
         fabric.topology,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
         fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
@@ -988,8 +964,6 @@ def rail_optimized_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
     always_spine: bool = True,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
     fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
@@ -999,8 +973,6 @@ def rail_optimized_flow_network(
         cluster,
         mesh,
         fabric.topology,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
         fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
@@ -1048,8 +1020,6 @@ def photonic_flow_network(
     provisioning: Union[bool, str] = True,
     technology: Optional["OCSTechnology"] = None,
     registry: Optional["GroupRegistry"] = None,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
     fill_workers: int = 0,
 ) -> PhotonicFlowNetworkModel:
     """Flow-level photonic rails under the full Opus control plane."""
@@ -1061,8 +1031,6 @@ def photonic_flow_network(
         reconfiguration_delay=reconfiguration_delay,
         shim_options=shim_options_for_provisioning(provisioning),
         registry=registry,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
         fill_workers=fill_workers,
     )
 
@@ -1073,8 +1041,6 @@ def bare_ocs_flow_network(
     reconfiguration_delay: Optional[float] = None,
     technology: Optional["OCSTechnology"] = None,
     registry: Optional["GroupRegistry"] = None,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
     fill_workers: int = 0,
 ) -> PhotonicFlowNetworkModel:
     """Flow-level bare OCS rails: on-demand per-group switching, no Opus.
@@ -1099,7 +1065,5 @@ def bare_ocs_flow_network(
             coalesce_axis=False,
         ),
         registry=registry,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
         fill_workers=fill_workers,
     )

@@ -18,7 +18,7 @@ by the examples, the ablation benchmarks, and the feasibility checks in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .devices import NICPortConfig, NICSpec, CONNECTX7
@@ -171,16 +171,3 @@ def allocate_ports(
     return NICAllocation(
         nic=nic, port_config=port_config, assignments=tuple(assignments)
     )
-
-
-def effective_bandwidth_per_dimension(
-    dimensions: Mapping[str, int],
-    nic: NICSpec = CONNECTX7,
-    num_ports: int = 4,
-) -> Dict[str, float]:
-    """Convenience wrapper returning per-dimension bandwidth in bytes/s."""
-    allocation = allocate_ports(dimensions, nic=nic, num_ports=num_ports)
-    return {
-        assignment.dimension: assignment.bandwidth
-        for assignment in allocation.assignments
-    }

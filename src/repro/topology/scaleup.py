@@ -16,8 +16,6 @@ bandwidth cap.
 
 from __future__ import annotations
 
-from typing import List
-
 from .base import LinkKind, NodeKind, Topology, gpu_node_name
 from .devices import ClusterSpec
 
@@ -66,11 +64,3 @@ def build_scaleup_only_topology(cluster: ClusterSpec) -> Topology:
     topology = Topology(name=f"scaleup[{cluster.scaleup.name}x{cluster.num_domains}]")
     add_scaleup_domains(topology, cluster)
     return topology
-
-
-def gpus_in_domain(cluster: ClusterSpec, domain: int) -> List[str]:
-    """Return the GPU node names of one scale-up domain."""
-    return [
-        gpu_node_name(cluster.gpu_id(domain, local_rank))
-        for local_rank in range(cluster.scaleup.gpus_per_domain)
-    ]

@@ -52,6 +52,12 @@ def test_every_backend_builds_a_network_model(name, tiny_cluster, tiny_mesh):
 def test_unknown_knob_is_rejected(tiny_cluster, tiny_mesh):
     with pytest.raises(ConfigurationError, match="does not accept"):
         create_network("ideal", tiny_cluster, tiny_mesh, warp_speed=True)
+    # The removed approximate-allocator knobs are unknown, not ignored.
+    for knob in ("allocator_epsilon", "coarsen_quantum"):
+        with pytest.raises(ConfigurationError, match="does not accept"):
+            create_network(
+                "fattree", tiny_cluster, tiny_mesh, network_mode="flow", **{knob: 0.05}
+            )
 
 
 def test_backend_knobs_reach_the_model(tiny_cluster, tiny_mesh):

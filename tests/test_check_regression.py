@@ -111,12 +111,12 @@ def test_update_writes_a_baseline_cli_round_trip(gate, tmp_path, capsys):
 def test_tolerance_overrides_match_exact_and_prefix(gate):
     overrides = {
         "flow_mode:electrical:8": 2.0,
-        "flow_mode:fattree-approx*": 1.8,
+        "flow_mode:fattree-faulted*": 1.8,
         "flow_mode:fattree*": 1.5,
     }
     assert gate.tolerance_for("flow_mode:electrical:8", 1.3, overrides) == 2.0
     # Longest matching prefix wins over a broader one.
-    assert gate.tolerance_for("flow_mode:fattree-approx:40", 1.3, overrides) == 1.8
+    assert gate.tolerance_for("flow_mode:fattree-faulted:40", 1.3, overrides) == 1.8
     assert gate.tolerance_for("flow_mode:fattree:40", 1.3, overrides) == 1.5
     assert gate.tolerance_for("flow_mode:photonic:8", 1.3, overrides) == 1.3
 
@@ -145,63 +145,33 @@ def test_update_preserves_tolerance_and_slack_overrides(gate, tmp_path):
     baseline = tmp_path / "baseline.json"
     assert gate.main([str(bench), "--baseline", str(baseline), "--update"]) == 0
     data = json.loads(baseline.read_text())
-    data["tolerance_overrides"] = {"flow_mode:fattree-approx*": 1.8}
-    data["slack_overrides"] = {"routing_overhead:*": 0.0}
+    data["tolerance_overrides"] = {"flow_mode:fattree-faulted*": 1.8}
+    data["slack_overrides"] = {"flow_mode:photonic*": 0.0}
     baseline.write_text(json.dumps(data))
     assert gate.main([str(bench), "--baseline", str(baseline), "--update"]) == 0
     refreshed = json.loads(baseline.read_text())
-    assert refreshed["tolerance_overrides"] == {"flow_mode:fattree-approx*": 1.8}
-    assert refreshed["slack_overrides"] == {"routing_overhead:*": 0.0}
-
-
-def test_distill_maps_routing_overhead_records_to_ratios(gate):
-    lines = [
-        "BENCH " + json.dumps({
-            "bench": "routing_overhead", "fabric": "fattree", "gpus": 8,
-            "default_s": 0.010, "single_s": 0.0102, "ratio": 1.02,
-        }),
-    ]
-    ratios, steady = gate.distill(gate.parse_bench_lines(lines))
-    assert ratios == {"routing_overhead:fattree:8": 1.02}
-    assert steady == {}
-
-
-def test_update_pins_identity_ratio_references_at_one(gate, tmp_path):
-    """Same-code identities get reference 1.0, not one run's noise."""
-    lines = _bench_lines(flow_wall=0.025) + [
-        "BENCH " + json.dumps({
-            "bench": "routing_overhead", "fabric": "fattree", "gpus": 8,
-            "default_s": 0.012, "single_s": 0.010, "ratio": 0.833333,
-        }),
-    ]
-    bench = tmp_path / "bench.txt"
-    bench.write_text("\n".join(lines) + "\n")
-    baseline = tmp_path / "baseline.json"
-    assert gate.main([str(bench), "--baseline", str(baseline), "--update"]) == 0
-    data = json.loads(baseline.read_text())
-    assert data["ratios"]["routing_overhead:fattree:8"] == 1.0
-    # The measured flow-mode ratio is still recorded as measured.
-    assert data["ratios"]["flow_mode:electrical:8"] == pytest.approx(2.5)
+    assert refreshed["tolerance_overrides"] == {"flow_mode:fattree-faulted*": 1.8}
+    assert refreshed["slack_overrides"] == {"flow_mode:photonic*": 0.0}
 
 
 def test_slack_override_tightens_a_same_code_identity(gate):
     """Zero slack makes a tight tolerance meaningful on a ~1.0 ratio.
 
     With the global absolute slack (0.75) a ratio near 1.0 could double
-    without tripping a 1.05x tolerance; the per-identity slack override
-    removes that headroom for identities whose two sides run the same code.
+    without tripping a 1.05x tolerance; a per-identity slack override
+    removes that headroom where a tight gate is wanted.
     """
-    ratios = {"routing_overhead:fattree:8": 1.2}
+    ratios = {"flow_mode:photonic:8": 1.2}
     baseline = {
-        "ratios": {"routing_overhead:fattree:8": 1.0},
+        "ratios": {"flow_mode:photonic:8": 1.0},
         "steady": {},
         "absolute_slack": 0.75,
-        "tolerance_overrides": {"routing_overhead:*": 1.05},
+        "tolerance_overrides": {"flow_mode:photonic*": 1.05},
     }
     # Without the slack override the global slack absorbs the regression.
     assert gate.check(dict(ratios), {}, baseline, tolerance=1.3) == []
-    baseline["slack_overrides"] = {"routing_overhead:*": 0.0}
+    baseline["slack_overrides"] = {"flow_mode:photonic*": 0.0}
     failures = gate.check(dict(ratios), {}, baseline, tolerance=1.3)
-    assert any("routing_overhead:fattree:8" in failure for failure in failures)
+    assert any("flow_mode:photonic:8" in failure for failure in failures)
     # A within-noise ratio still passes under the tight gate.
-    assert gate.check({"routing_overhead:fattree:8": 1.04}, {}, baseline, 1.3) == []
+    assert gate.check({"flow_mode:photonic:8": 1.04}, {}, baseline, 1.3) == []

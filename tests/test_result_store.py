@@ -282,3 +282,43 @@ def test_fresh_simulation_files_result_in_store(tmp_path, tiny_workload, tiny_cl
     result = runner.run(scenario)
     assert list(store.hashes()) == [result.config_hash]
     assert store.get(result.config_hash) == result
+
+
+# --------------------------------------------------------------------------- #
+# Stored results stay addressable across refactors
+# --------------------------------------------------------------------------- #
+
+#: Configuration hashes of the benchmark workloads (seed 0) and of every
+#: golden-trace scenario, recorded before the approximate allocator's knobs
+#: were removed.  A refactor that changes any of them would orphan every
+#: ``ResultStore`` entry for that configuration.
+PINNED_HASHES = {
+    "moe-scale-1k": "311b720965cd92444987a12f49bc4c31dedb39529d69c40be115c01d0e75b9f4",
+    "fattree-faulted-128": "49b84c3e4f9748223e79224141926017d680f79b34c8f27877b2de8f9f2aa209",
+    "photonic-paper-64": "3c0bc2bf80f02e51b1b0db9f4570175492f9ae1d4afe0ef09e3b44e02f125bbb",
+    "adaptive_routing_ecmp": "add73ce63253047fdcd72c15f199265c7fd2941c9cffa8cd4e5072ba9914642e",
+    "contention_free_analytic": "b18ff00359269840bf9aa10368df520bf3b4bde4181296e5120404764b20a713",
+    "degraded_fattree_flow": "3a403f32e9d5ba81b35615b897c1e1ac1222d3f8244718d3c3a6e01142506943",
+    "provisioned_photonic_flow": "7a7c4f17329bafa61aaa96760bc74771390fe138af63223a85aef57017933c9a",
+    "shared_uplink_flow": "3f9ebdc6f15462377702a4dd0ec6839c215d40f3949acb7ed54c5f36deb0bbf8",
+}
+
+
+def _pinned_scenarios():
+    sys.path.insert(0, str(SRC.parent))
+    try:
+        from perfbench.workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(SRC.parent))
+    from tests.test_golden_traces import GOLDEN_CASES
+
+    scenarios = {name: workload.scenario(0) for name, workload in WORKLOADS.items()}
+    scenarios.update({name: factory() for name, factory in GOLDEN_CASES.items()})
+    return scenarios
+
+
+def test_config_hashes_of_committed_scenarios_are_pinned():
+    scenarios = _pinned_scenarios()
+    assert sorted(scenarios) == sorted(PINNED_HASHES)
+    for name, scenario in scenarios.items():
+        assert scenario_hash(scenario) == PINNED_HASHES[name], name

@@ -189,6 +189,37 @@ def test_unknown_provisioning_mode_rejected():
         )
 
 
+def test_explicit_single_policy_is_the_default_lane():
+    """An explicit ``routing_policy="single"`` runs the default code path.
+
+    Checked on deterministic outputs instead of wall time: neither model
+    builds a policy router, and both runs do identical allocator work and
+    produce identical iteration times, bit for bit.
+    """
+    from repro.experiments.contention import shared_uplink_incast_scenario
+    from repro.experiments.session import SimulationSession
+
+    # A contended fat tree, so the allocator counters are not trivially 0.
+    default = shared_uplink_incast_scenario(num_iterations=3).with_knobs(
+        network_mode="flow"
+    )
+    explicit = default.with_knobs(routing_policy="single")
+    sessions = []
+    for scenario in (default, explicit):
+        session = SimulationSession.start(scenario)
+        session.run_to(scenario.num_iterations)
+        sessions.append(session)
+    default_session, explicit_session = sessions
+    assert default_session.network._router is None
+    assert explicit_session.network._router is None
+    default_stats = default_session.network.flow_stats.as_dict()
+    assert default_stats == explicit_session.network.flow_stats.as_dict()
+    assert default_stats["allocator_invocations"] > 0
+    default_result = default_session.result(scenario=default)
+    explicit_result = explicit_session.result(scenario=explicit)
+    assert default_result.iteration_times == explicit_result.iteration_times
+
+
 # --------------------------------------------------------------------------- #
 # Fault reroutes stay under the policy
 # --------------------------------------------------------------------------- #

@@ -79,6 +79,9 @@ def test_validate_expands_grid_and_names_points():
         ({"scenario": {"knobs": {"no_such_knob": 1}}}, "unknown-knob"),
         ({"scenario": {"knobs": {"faults": "yes please"}}}, "bad-fault-plan"),
         ({"scenario": {}, "grid": {"network_mode": "flow"}}, "bad-grid"),
+        # The removed approximate-allocator knobs get the stable rejection.
+        ({"scenario": {"knobs": {"allocator_epsilon": 0.05}}}, "unknown-knob"),
+        ({"scenario": {"knobs": {"coarsen_quantum": 1e-6}}}, "unknown-knob"),
     ],
 )
 def test_bad_specs_fail_with_stable_codes(payload, code):
