@@ -30,7 +30,10 @@ would otherwise swamp the gate.
 Simulation *results* are also pinned: the flow-mode ``steady_iteration_s``
 values are bitwise-deterministic for a given code version, so they are
 compared exactly (within 1e-9 relative) to catch accidental semantic drift
-riding along with a perf change.
+riding along with a perf change.  So is the allocator's work: the flow-mode
+records' ``allocator_invocations``, ``rerated_components`` and
+``rerated_flows`` are machine-independent counts, pinned in the baseline's
+``counters`` section and compared by equality with no tolerance.
 
 Usage::
 
@@ -54,7 +57,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 DEFAULT_TOLERANCE = 1.3
@@ -67,6 +70,8 @@ DEFAULT_ABSOLUTE_SLACK = 0.75
 #: Relative tolerance for simulated-time equality (results are deterministic;
 #: this only absorbs printing round-trips).
 STEADY_REL_TOL = 1e-9
+#: Deterministic work counters carried by flow-mode BENCH records.
+COUNTER_FIELDS = ("allocator_invocations", "rerated_components", "rerated_flows")
 
 
 def parse_bench_lines(lines: Iterable[str]) -> List[dict]:
@@ -115,6 +120,19 @@ def distill(records: List[dict]) -> Tuple[Dict[str, float], Dict[str, float]]:
     return ratios, steady
 
 
+def distill_counters(records: List[dict]) -> Dict[str, int]:
+    """Work counters of the flow-mode records, keyed by identity and counter."""
+    counters: Dict[str, int] = {}
+    for record in records:
+        if record.get("bench") != "flow_mode":
+            continue
+        for field in COUNTER_FIELDS:
+            if field in record:
+                key = f"flow_mode:{record['fabric']}:{record['gpus']}:{field}"
+                counters[key] = int(record[field])
+    return counters
+
+
 def tolerance_for(key: str, default: float, overrides: Dict[str, float]) -> float:
     """Resolve ``key``'s value against per-identity baseline overrides.
 
@@ -141,6 +159,7 @@ def check(
     steady: Dict[str, float],
     baseline: dict,
     tolerance: float,
+    counters: Optional[Dict[str, int]] = None,
 ) -> List[str]:
     """Return a list of human-readable failures (empty = gate passes)."""
     failures: List[str] = []
@@ -175,6 +194,17 @@ def check(
                 f"semantic drift: {key} simulated {current!r}, "
                 f"baseline {reference!r} (simulation results must only "
                 "change together with a baseline refresh)"
+            )
+    for key, reference in sorted(baseline.get("counters", {}).items()):
+        current = (counters or {}).get(key)
+        if current is None:
+            continue
+        matched += 1
+        if current != reference:
+            failures.append(
+                f"counter drift: {key} is {current}, baseline {reference} "
+                "(work counters are deterministic and must match exactly; "
+                "refresh with --update after an intentional change)"
             )
     if matched == 0:
         failures.append(
@@ -213,7 +243,9 @@ def main(argv=None) -> int:
             lines.extend(sys.stdin.readlines())
         else:
             lines.extend(Path(source).read_text().splitlines())
-    ratios, steady = distill(parse_bench_lines(lines))
+    records = parse_bench_lines(lines)
+    ratios, steady = distill(records)
+    counters = distill_counters(records)
     if not ratios and not steady:
         print("check_regression: no BENCH lines found", file=sys.stderr)
         return 2
@@ -228,6 +260,7 @@ def main(argv=None) -> int:
             "steady": {
                 key: value for key, value in sorted(steady.items())
             },
+            "counters": dict(sorted(counters.items())),
         }
         # Hand-maintained per-identity tolerances and slacks (see
         # ``tolerance_for``) survive a baseline refresh — only the
@@ -251,14 +284,15 @@ def main(argv=None) -> int:
         return 2
     baseline = json.loads(args.baseline.read_text())
     tolerance = args.tolerance or baseline.get("tolerance", DEFAULT_TOLERANCE)
-    failures = check(ratios, steady, baseline, tolerance)
+    failures = check(ratios, steady, baseline, tolerance, counters)
     for failure in failures:
         print(f"check_regression: {failure}", file=sys.stderr)
     if not failures:
         compared = [key for key in baseline.get("ratios", {}) if key in ratios]
+        exact = [key for key in baseline.get("counters", {}) if key in counters]
         print(
             f"check_regression: OK — {len(compared)} ratio(s) within "
-            f"{tolerance:g}x of baseline"
+            f"{tolerance:g}x of baseline, {len(exact)} counter(s) exact"
         )
     return 1 if failures else 0
 

@@ -275,25 +275,21 @@ def fault_support(
 ) -> Optional[frozenset]:
     """Fault kinds backend ``backend_name`` supports in ``network_mode``.
 
-    Mirrors the ``supported`` sets the built-in factories pass to their
-    ``faults``-knob validation, so callers extending a *live* model's fault
-    plan (fork-sweeps; see :meth:`repro.experiments.session.SimulationSession.
-    extend_faults`) can reject unsupported event kinds with the same error as
-    an up-front ``faults=`` knob would.  Returns ``None`` for third-party
-    backends the table does not know, leaving validation to the model itself.
+    Reads the table the built-in factories validate their ``faults`` knob
+    against, so callers extending a *live* model's fault plan (fork-sweeps;
+    see :meth:`repro.experiments.session.SimulationSession.extend_faults`)
+    can reject unsupported event kinds with the same error as an up-front
+    ``faults=`` knob would.  Returns ``None`` for third-party backends the
+    table does not know, leaving validation to the model itself.
     """
     mode = "analytic" if network_mode is None else str(network_mode)
     return _FAULT_SUPPORT.get((str(backend_name), mode))
 
 
 def _install_faults(
-    model: NetworkModel,
-    faults: object,
-    supported: frozenset,
-    backend: str,
-    mode: str,
+    model: NetworkModel, faults: object, backend: str, mode: str
 ) -> NetworkModel:
-    """Validate and bind a ``faults=`` knob value onto a fresh model."""
+    """Validate a ``faults=`` knob value against ``_FAULT_SUPPORT`` and bind it."""
     if faults is None:
         return model
     plan = as_fault_plan(faults)
@@ -303,7 +299,8 @@ def _install_faults(
         # guard) and break the documented bit-for-bit equivalence.
         return model
     plan.require_supported(
-        supported, context=f"backend {backend!r} in {mode} network mode"
+        _FAULT_SUPPORT[(backend, mode)],
+        context=f"backend {backend!r} in {mode} network mode",
     )
     model.install_fault_plan(plan)
     return model
@@ -349,7 +346,6 @@ def _photonic_backend(
                 fill_workers=workers,
             ),
             faults,
-            _CIRCUIT_FLOW_FAULTS,
             "photonic",
             "flow",
         )
@@ -375,7 +371,6 @@ def _photonic_backend(
             registry=registry,
         ),
         faults,
-        _CIRCUIT_ANALYTIC_FAULTS,
         "photonic",
         "analytic",
     )
@@ -416,7 +411,6 @@ def _electrical_backend(
                 cluster, mesh, routing_policy=policy, fill_workers=workers
             ),
             faults,
-            _LINK_FAULTS,
             "electrical",
             "flow",
         )
@@ -425,7 +419,6 @@ def _electrical_backend(
             cluster, mesh, use_tree_collectives=bool(use_tree_collectives)
         ),
         faults,
-        _COMPUTE_FAULTS,
         "electrical",
         "analytic",
     )
@@ -443,7 +436,7 @@ def _ideal_backend(
     faults: object = None,
 ) -> NetworkModel:
     return _install_faults(
-        IdealNetworkModel(cluster, mesh), faults, _COMPUTE_FAULTS, "ideal", "analytic"
+        IdealNetworkModel(cluster, mesh), faults, "ideal", "analytic"
     )
 
 
@@ -480,9 +473,9 @@ def _fattree_backend(
             routing_policy=policy,
             fill_workers=workers,
         )
-        return _install_faults(model, faults, _LINK_FAULTS, "fattree", "flow")
+        return _install_faults(model, faults, "fattree", "flow")
     model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
-    return _install_faults(model, faults, _LINK_FAULTS, "fattree", "analytic")
+    return _install_faults(model, faults, "fattree", "analytic")
 
 
 @backend(
@@ -517,9 +510,9 @@ def _railopt_backend(
             routing_policy=policy,
             fill_workers=workers,
         )
-        return _install_faults(model, faults, _LINK_FAULTS, "railopt", "flow")
+        return _install_faults(model, faults, "railopt", "flow")
     model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
-    return _install_faults(model, faults, _LINK_FAULTS, "railopt", "analytic")
+    return _install_faults(model, faults, "railopt", "analytic")
 
 
 @backend(
@@ -556,7 +549,6 @@ def _ocs_backend(
                 fill_workers=workers,
             ),
             faults,
-            _CIRCUIT_FLOW_FAULTS,
             "ocs",
             "flow",
         )
@@ -568,7 +560,6 @@ def _ocs_backend(
             technology=technology,
         ),
         faults,
-        _CIRCUIT_ANALYTIC_FAULTS,
         "ocs",
         "analytic",
     )

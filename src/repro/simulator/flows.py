@@ -8,7 +8,7 @@ approximation used by datacenter-fabric studies, including the ones the paper
 builds on (TopoOpt, Rail-only): no packets, no transport dynamics, just
 capacity sharing.
 
-Two things make the engine scale to 10k-endpoint fabrics:
+Three things make the engine scale to 10k-endpoint fabrics:
 
 * **Vectorized water-filling** — :func:`max_min_fair_rates` runs the
   progressive-filling rounds over a flat link×flow incidence structure with
@@ -21,6 +21,12 @@ Two things make the engine scale to 10k-endpoint fabrics:
   such components: flows whose bottleneck sets are unaffected keep their
   rates, their progress is tracked lazily per flow, and their completion
   estimates stay queued in a lazy heap instead of being rescanned per event.
+* **One memo for self-contained batches** — a batch that shares links with
+  nobody outside itself has max–min fair rates that are a pure function of
+  its ordered paths and the topology version, so each route list is solved
+  once and its rates replayed thereafter.  Full batches also record the
+  bookkeeping that lets a recurring shape skip per-flow registration and
+  completion math entirely (see :class:`_BatchShape`).
 
 Every allocation is exact.  The one optional knob, ``fill_workers``,
 water-fills large disjoint sharing components concurrently in a process
@@ -44,7 +50,6 @@ import math
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -134,17 +139,15 @@ class _FlowGroup:
 
     The owner receives a single callback with the batch's last finish time
     once every member completed — one callback per collective step instead of
-    one per flow.  The group also remembers the (cached, shared) item list it
-    was built from, which keys the isolated-component allocation memo.
+    one per flow.
     """
 
-    __slots__ = ("outstanding", "end", "callback", "items")
+    __slots__ = ("outstanding", "end", "callback")
 
     def __init__(self, outstanding: int, callback: Callable[[float], None]) -> None:
         self.outstanding = outstanding
         self.end = 0.0
         self.callback = callback
-        self.items: object = None
 
 
 class _PhantomBatch:
@@ -172,51 +175,56 @@ class _PhantomBatch:
 
 
 class _BatchShape:
-    """Memoized bookkeeping for one recurring self-contained batch shape.
+    """Memoized allocation for one self-contained batch's route list.
 
-    Synchronized steady state re-injects identically-shaped batches — the
-    same (cached) path objects, the same sizes — once per collective step,
-    hundreds of times per iteration.  After the first fully-registered
-    solve, the shape records everything replay needs: the allocation, the
-    claimed link keys, per-flow latencies, and the uniform drain duration.
-    Replays then skip per-flow registration, solving, and estimate math
-    entirely (see ``_try_shape_replay``); a replay is bit-for-bit identical
-    to the slow path because every stored float was produced by it.
+    A batch that shares links with nobody outside itself has max–min fair
+    rates that depend only on its ordered paths and the live capacities, so
+    the simulator stores one of these per ``(topology version, path ids)``
+    and re-applies ``rates`` to every later batch over the same routes.
+
+    Synchronized steady state goes further: it re-injects identically-shaped
+    batches — the same (cached) path objects, the same sizes — once per
+    collective step, hundreds of times per iteration.  For a full batch of at
+    least ``_SEALED_MIN_FLOWS`` flows the shape also records everything
+    replay needs: the claimed link keys, per-flow sizes and latencies, and
+    the drain-duration groups.  Replays then skip per-flow registration,
+    solving, and estimate math entirely (see ``_try_shape_replay``); a
+    replay is bit-for-bit identical to the slow path because every stored
+    float was produced by it.
     """
 
     __slots__ = (
         "anchors",
-        "sizes",
         "rates",
+        "groups",
+        "sizes",
         "latencies",
         "keys",
         "key_set",
         "id_items",
-        "groups",
     )
 
     def __init__(
         self,
         anchors: Tuple[Tuple[Link, ...], ...],
-        sizes: Tuple[float, ...],
         rates: List[float],
-        latencies: Tuple[float, ...],
-        keys: Tuple[LinkKey, ...],
-        key_set: FrozenSet[LinkKey],
-        groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]],
+        groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]] = None,
+        sizes: Tuple[float, ...] = (),
+        latencies: Tuple[float, ...] = (),
+        keys: Tuple[LinkKey, ...] = (),
     ) -> None:
         self.anchors = anchors
-        self.sizes = sizes
         self.rates = rates
-        self.latencies = latencies
-        self.keys = keys
-        self.key_set = key_set
-        self.id_items = tuple((key[2], key) for key in keys)
         #: (drain_duration, member_indices) per completion-estimate group, in
         #: first-occurrence order (matching the slow path's estimate dict) —
-        #: or ``None`` when the shape is not replayable (a zero or infinite
-        #: rate somewhere).
+        #: or ``None`` when the entry cannot be replayed (a partial or small
+        #: batch, or a zero or infinite rate somewhere).
         self.groups = groups
+        self.sizes = sizes
+        self.latencies = latencies
+        self.keys = keys
+        self.key_set = frozenset(keys)
+        self.id_items = tuple((key[2], key) for key in keys)
 
 
 class Flow:
@@ -741,7 +749,9 @@ class FlowSimulator(Snapshottable):
     Arrivals at one instant are batched behind a single engine event, and a
     batch of arrivals/completions triggers rate recomputation only for the
     connected component of flows sharing links with the change (see the
-    module docstring).
+    module docstring).  A batch that shares links with nobody outside itself
+    skips the closure: its rates come from the one self-contained batch
+    memo, which also feeds the sealed and shape-replay lanes.
     """
 
     def __init__(
@@ -790,18 +800,6 @@ class FlowSimulator(Snapshottable):
         #: carry ``-1`` and a list of (flow, epoch) members.
         self._completion_heap: List[Tuple[float, int, int, object]] = []
         self._completion_event = None
-        #: Memoized allocations for self-contained batches, keyed by the
-        #: identity of the (cached) item list they were injected from.
-        self._isolated_rates: Dict[int, Tuple[object, Optional[int], List[float]]] = {}
-        #: Content-keyed fallback memo for self-contained batches that span
-        #: several injection groups (e.g. one synchronized step of many
-        #: concurrent rings): max–min rates are a pure function of the
-        #: ordered path list and the topology version, so later steps with
-        #: the same routes replay the allocation positionally.
-        self._content_rates: Dict[
-            Tuple[Optional[int], Tuple[int, ...]],
-            Tuple[Tuple[Tuple[Link, ...], ...], List[float]],
-        ] = {}
         #: Sealed-batch bookkeeping.  A *sealed* completion-heap entry is a
         #: self-contained batch whose members all share one finish estimate;
         #: if nothing disturbed it in flight, completion retires its link
@@ -814,8 +812,9 @@ class FlowSimulator(Snapshottable):
         self._seal_gen = 0
         self._sealed_outstanding = 0
         self._sealed_disturbed: Set[LinkKey] = set()
-        #: Full replay bookkeeping for recurring batch shapes (the sealed
-        #: lane's other half): content key -> :class:`_BatchShape`.
+        #: The one memo for self-contained batches: (topology version, path
+        #: ids) -> :class:`_BatchShape`, holding the allocation and, for full
+        #: batches, the replay bookkeeping (the sealed lane's other half).
         self._batch_shapes: Dict[
             Tuple[Optional[int], Tuple[int, ...]], _BatchShape
         ] = {}
@@ -853,13 +852,6 @@ class FlowSimulator(Snapshottable):
         # counted as extra allocator work, breaking the guarantee that a
         # continued snapshot reports the same stats as a straight run.
         self._path_meta = {id(meta[0]): meta for meta in self._path_meta.values()}
-        self._isolated_rates = {
-            id(memo[0]): memo for memo in self._isolated_rates.values()
-        }
-        self._content_rates = {
-            (key[0], tuple(id(anchor) for anchor in memo[0])): memo
-            for key, memo in self._content_rates.items()
-        }
         self._batch_shapes = {
             (key[0], tuple(id(anchor) for anchor in shape.anchors)): shape
             for key, shape in self._batch_shapes.items()
@@ -929,7 +921,6 @@ class FlowSimulator(Snapshottable):
                 raise SimulationError("flow size must be non-negative")
         version = self.topology.version if self.topology is not None else None
         group = _FlowGroup(len(items), on_complete)
-        group.items = items
         flow_id = self._counter
         batch = self._pending_at.get(start_time)
         if batch is None:
@@ -1104,24 +1095,12 @@ class FlowSimulator(Snapshottable):
         Called when a fault event degrades or restores link bandwidth: the
         connected components of flows touching the changed links are
         re-allocated from the live capacities (everyone else keeps their
-        rates and estimates), and the path-derived caches — per-path static
-        bottlenecks, isolated-batch allocations — are dropped so no future
-        batch replays a rate computed against the old capacity.
+        rates and estimates), and the path-derived caches are dropped (see
+        :meth:`_invalidate_for_fault`).
         """
         if now is None:
             now = self.engine.now
-        self._path_meta.clear()
-        self._isolated_rates.clear()
-        self._content_rates.clear()
-        self._batch_shapes.clear()
-        # Invalidate every outstanding sealed batch: capacities (or the
-        # registry itself) are about to change under them.  Phantom batches
-        # must come back to real per-flow registrations first — the exact
-        # re-rate below walks the user registry.
-        self._seal_gen += 1
-        if self._phantoms:
-            for phantom in list(self._phantoms):
-                self._materialize_phantom(phantom)
+        self._invalidate_for_fault()
         dirty = [key for key in keys if key in self._link_users]
         if dirty:
             self._reallocate((), dirty, now)
@@ -1141,18 +1120,7 @@ class FlowSimulator(Snapshottable):
         """
         if now is None:
             now = self.engine.now
-        self._path_meta.clear()
-        self._isolated_rates.clear()
-        self._content_rates.clear()
-        self._batch_shapes.clear()
-        # Invalidate every outstanding sealed batch: capacities (or the
-        # registry itself) are about to change under them.  Phantom batches
-        # must come back to real per-flow registrations first — the exact
-        # re-rate below walks the user registry.
-        self._seal_gen += 1
-        if self._phantoms:
-            for phantom in list(self._phantoms):
-                self._materialize_phantom(phantom)
+        self._invalidate_for_fault()
         link_users = self._link_users
         failed_keys = set(keys)
         casualties: List[Flow] = []
@@ -1209,6 +1177,24 @@ class FlowSimulator(Snapshottable):
         if not keys:
             return []
         return self.fail_links(keys, now)
+
+    def _invalidate_for_fault(self) -> None:
+        """Drop everything derived from the pre-fault fabric.
+
+        The path-derived caches — per-path static bottlenecks and the
+        self-contained batch memo — go, so no future batch replays a rate
+        computed against the old capacity.  Every outstanding sealed batch
+        is invalidated too: capacities (or the registry itself) are about to
+        change under them.  Phantom batches come back to real per-flow
+        registrations, because the exact re-rate that follows walks the user
+        registry.
+        """
+        self._path_meta.clear()
+        self._batch_shapes.clear()
+        self._seal_gen += 1
+        if self._phantoms:
+            for phantom in list(self._phantoms):
+                self._materialize_phantom(phantom)
 
     def _unregister_path(
         self, flow: Flow, skip_keys: Set[LinkKey], dirty_links: List[LinkKey]
@@ -1363,35 +1349,27 @@ class FlowSimulator(Snapshottable):
         if not dirty:
             self._sync_completion_event(now)
             return
-        if not intra_shared and not external_shared:
-            # The whole batch rides dedicated links (the dominant case on
-            # provisioned circuits and fully-connected rails): every flow's
-            # max-min fair rate is its plain path bottleneck, no progressive
-            # filling and no component closure needed.
-            if len(dirty) == len(batch) and len(dirty) >= _SEALED_MIN_FLOWS:
-                self._store_shape(batch, solo_bw, version, batch_links)
-            self._apply_batch_rates(dirty, solo_bw, now, sealed_links=batch_links)
+        if external_shared:
+            self._reallocate(dirty, (), now)
             return
-        if not external_shared:
-            # The batch contends only within itself (e.g. one collective step
-            # funneling through shared uplinks, no bystanders): its max-min
-            # fair allocation depends only on the batch's paths, so identical
-            # re-injections — the same step next iteration, the same-shape
-            # collective elsewhere — replay the memoized allocation.  The
-            # group memo replays single-group batches by item-list identity;
-            # the content memo catches everything else (multi-group unions
-            # like one synchronized step of many concurrent rings, whose
-            # routes repeat step after step), and on a genuine miss solves
-            # the batch directly — no component closure is needed when the
-            # batch shares links with nobody outside itself.
-            rates = self._isolated_batch_rates(batch, dirty, version)
-            if rates is None:
-                rates = self._self_contained_rates(dirty, version)
-            if len(dirty) == len(batch) and len(dirty) >= _SEALED_MIN_FLOWS:
-                self._store_shape(batch, rates, version, batch_links)
-            self._apply_batch_rates(dirty, rates, now, sealed_links=batch_links)
-            return
-        self._reallocate(dirty, (), now)
+        # The batch shares links with nobody outside itself, so no component
+        # closure is needed.  On dedicated links (the dominant case on
+        # provisioned circuits and fully-connected rails) every flow's
+        # max-min fair rate is its plain path bottleneck; a batch contending
+        # only within itself (one collective step funneling through shared
+        # uplinks, one synchronized step of many concurrent rings) is solved
+        # once per route list and replayed from the memo thereafter.
+        full = len(dirty) == len(batch) and len(dirty) >= _SEALED_MIN_FLOWS
+        if intra_shared or full:
+            rates = self._self_contained_rates(
+                dirty,
+                version,
+                None if intra_shared else solo_bw,
+                batch_links if full else None,
+            )
+        else:
+            rates = solo_bw
+        self._apply_batch_rates(dirty, rates, now, sealed_links=batch_links)
 
     def _apply_batch_rates(
         self,
@@ -1445,47 +1423,12 @@ class FlowSimulator(Snapshottable):
                 heapq.heappush(heap, (estimate, members[0][0].flow_id, -1, members))
         self._sync_completion_event(now)
 
-    def _isolated_batch_rates(
-        self, batch: Sequence[Flow], dirty: List[Flow], version: Optional[int]
-    ) -> Optional[List[float]]:
-        """Memoized allocation for a batch that only contends with itself.
-
-        Valid only when the batch is exactly one ``add_flows`` item list (the
-        shared, cached per-step list), nothing in it completed early, and the
-        topology version matches the memoized run — then the max-min fair
-        rates are a pure function of the item list and can be replayed
-        positionally.  Returns ``None`` when the memo cannot be used, in
-        which case the caller falls back to progressive filling (whose result
-        seeds the memo for next time via this same path).
-        """
-        group = batch[0]._group
-        if (
-            group is None
-            or batch[-1]._group is not group
-            or group.items is None
-            or len(dirty) != len(batch)
-        ):
-            return None
-        key = id(group.items)
-        memo = self._isolated_rates.get(key)
-        if (
-            memo is not None
-            and memo[0] is group.items
-            and memo[1] == version
-            and len(memo[2]) == len(dirty)
-        ):
-            return memo[2]
-        flows = list(dirty)
-        self.stats.allocator_invocations += 1
-        computed = max_min_fair_rates(flows)
-        rates = [computed[flow.flow_id] for flow in dirty]
-        if len(self._isolated_rates) >= 4096:
-            self._isolated_rates.clear()
-        self._isolated_rates[key] = (group.items, version, rates)
-        return rates
-
     def _self_contained_rates(
-        self, dirty: List[Flow], version: Optional[int]
+        self,
+        dirty: List[Flow],
+        version: Optional[int],
+        solo_rates: Optional[List[float]],
+        replay_links: Optional[Set[LinkKey]],
     ) -> List[float]:
         """Allocation for a self-contained batch, memoized on its route list.
 
@@ -1495,77 +1438,54 @@ class FlowSimulator(Snapshottable):
         version, and fault handling clears the memo outright).  The stored
         path tuple re-anchors every identity on a hit — a recycled ``id``
         (possible on circuit fabrics, whose per-flow resolver paths are not
-        held by the route table) can never replay a stale allocation.  This
-        is what makes synchronized steady state cheap: one step of N
-        concurrent rings re-uses the same routes every step, so each shape
-        is solved once and replayed positionally thereafter.
-        """
-        key = (version, tuple(id(flow.path) for flow in dirty))
-        memo = self._content_rates.get(key)
-        if memo is not None:
-            anchors, rates = memo
-            if all(a is flow.path for a, flow in zip(anchors, dirty)):
-                return rates
-        self.stats.allocator_invocations += 1
-        self.stats.rerated_components += 1
-        self.stats.rerated_flows += len(dirty)
-        computed = max_min_fair_rates(dirty)
-        rates = [computed[flow.flow_id] for flow in dirty]
-        if len(self._content_rates) >= 4096:
-            self._content_rates.clear()
-        self._content_rates[key] = (
-            tuple(flow.path for flow in dirty),
-            rates,
-        )
-        return rates
+        held by the route table) can never replay a stale allocation.
 
-    def _store_shape(
-        self,
-        batch: Sequence[Flow],
-        rates: Sequence[float],
-        version: Optional[int],
-        batch_links: Set[LinkKey],
-    ) -> None:
-        """Record a self-contained batch's full replay bookkeeping.
-
-        Called by ``_on_batch_start`` right before rates are applied, while
-        every member is still fresh (``remaining_bytes`` untouched and
-        ``_path_latency`` set by the registration loop).  A shape without a
-        uniform drain duration is stored with ``duration = None`` so the
-        replay probe caches the negative instead of re-deriving it.
+        On a miss the rates are ``solo_rates`` (the per-path bottlenecks,
+        when no two members share a link) or, when that is ``None``, one
+        solve of the batch.  ``replay_links`` is the link set of a full batch
+        large enough to replay; its entry also records the replay
+        bookkeeping.
         """
         shapes = self._batch_shapes
-        key = (version, tuple([id(flow.path) for flow in batch]))
-        if key in shapes:
-            return
-        inf = math.inf
-        grouping: Optional[Dict[float, List[int]]] = {}
-        for index, (flow, rate) in enumerate(zip(batch, rates)):
-            if not 0.0 < rate < inf:
-                grouping = None
-                break
-            duration = flow.remaining_bytes / rate
-            bucket = grouping.get(duration)
-            if bucket is None:
-                grouping[duration] = [index]
-            else:
-                bucket.append(index)
-        groups = (
-            tuple((duration, tuple(idxs)) for duration, idxs in grouping.items())
-            if grouping is not None
-            else None
-        )
+        key = (version, tuple([id(flow.path) for flow in dirty]))
+        shape = shapes.get(key)
+        if shape is not None and all(
+            anchor is flow.path for anchor, flow in zip(shape.anchors, dirty)
+        ):
+            return shape.rates
+        if solo_rates is not None:
+            rates = solo_rates
+        else:
+            stats = self.stats
+            stats.allocator_invocations += 1
+            stats.rerated_components += 1
+            stats.rerated_flows += len(dirty)
+            computed = max_min_fair_rates(dirty)
+            rates = [computed[flow.flow_id] for flow in dirty]
         if len(shapes) >= 4096:
             shapes.clear()
+        anchors = tuple(flow.path for flow in dirty)
+        inf = math.inf
+        if replay_links is None or not all(0.0 < rate < inf for rate in rates):
+            # ``groups=None``: the replay probe caches the negative.
+            shapes[key] = _BatchShape(anchors, rates)
+            return rates
+        # Taken before the rates are applied, while every member is fresh
+        # (``remaining_bytes`` untouched, ``_path_latency`` just registered).
+        grouping: Dict[float, List[int]] = {}
+        for index, (flow, rate) in enumerate(zip(dirty, rates)):
+            grouping.setdefault(flow.remaining_bytes / rate, []).append(index)
         shapes[key] = _BatchShape(
-            anchors=tuple(flow.path for flow in batch),
-            sizes=tuple(flow.remaining_bytes for flow in batch),
-            rates=list(rates),
-            latencies=tuple(flow._path_latency for flow in batch),
-            keys=tuple(batch_links),
-            key_set=frozenset(batch_links),
-            groups=groups,
+            anchors,
+            rates,
+            groups=tuple(
+                (duration, tuple(idxs)) for duration, idxs in grouping.items()
+            ),
+            sizes=tuple(flow.remaining_bytes for flow in dirty),
+            latencies=tuple(flow._path_latency for flow in dirty),
+            keys=tuple(replay_links),
         )
+        return rates
 
     def _try_shape_replay(self, batch: Sequence[Flow], now: float) -> bool:
         """Start ``batch`` via its memoized shape, skipping per-flow work.
@@ -1752,8 +1672,12 @@ class FlowSimulator(Snapshottable):
             for flow, flow_epoch in members:
                 if flow.finish_time is not None or flow._epoch != flow_epoch:
                     continue  # stale: completed or the rate changed since
-                # Lazy progress and drain check, inlined (see _advance_flow /
-                # _flow_is_drained for the commented versions).
+                # Lazy progress (see _advance_flow), inlined.  A flow is
+                # drained once its bytes are within tolerance, its rate is
+                # infinite, or its residual drain time is below the clock's
+                # float resolution (``now + left / rate == now``): no
+                # representable future event could drain it, and re-checking
+                # at the same instant would spin the engine forever.
                 rate = flow.rate
                 elapsed = now - flow._progress_time
                 if elapsed > 0.0:
@@ -2012,25 +1936,6 @@ class FlowSimulator(Snapshottable):
                 f"torn-down link {link.src}->{link.dst} (id {link.link_id}); "
                 "the circuit was reconfigured away before the flow started"
             )
-
-    @staticmethod
-    def _flow_is_drained(flow: Flow, now: float) -> bool:
-        """Whether ``flow`` counts as finished at ``now``.
-
-        Besides the byte tolerance, a flow whose residual drain time is below
-        the floating-point resolution of the clock (``now + time_left == now``)
-        must complete *now*: no representable future event could ever drain
-        it, and rescheduling a completion check at the same instant would spin
-        the engine forever.  Infinite-rate flows (unconstrained routes) drain
-        instantly by definition.
-        """
-        if flow.remaining_bytes <= _BYTES_EPSILON:
-            return True
-        if math.isinf(flow.rate):
-            return True
-        if flow.rate > 0:
-            return now + flow.remaining_bytes / flow.rate <= now
-        return False
 
     def _complete_flow(self, flow: Flow, finish_time: float) -> None:
         flow.finish_time = finish_time

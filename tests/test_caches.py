@@ -270,8 +270,9 @@ def test_add_flows_interacts_with_later_external_arrivals():
 
 
 def test_repeated_identical_batches_replay_the_same_rates():
-    # The isolated-batch memo must replay, not corrupt, repeated injections
-    # of the same (cached) item list — the per-step pattern of a collective.
+    # The self-contained batch memo must replay, not corrupt, repeated
+    # injections of the same (cached) item list — the per-step pattern of a
+    # collective.
     sim = FlowSimulator()
     shared = _link(0, bandwidth=100.0)
     items = [((shared,), 300.0), ((shared,), 300.0)]
@@ -281,6 +282,26 @@ def test_repeated_identical_batches_replay_the_same_rates():
     sim.add_flows(items, start_time=ends[0], on_complete=ends.append)
     sim.run()
     # Each batch: two flows at 50 B/s drain 300 B in 6 s.
+    assert ends == [pytest.approx(6.0), pytest.approx(12.0)]
+
+
+def test_new_item_list_over_cached_paths_replays_without_solving():
+    # The memo keys on path identity, not on the item-list object: a fresh
+    # list over the same cached path tuples replays the stored allocation.
+    sim = FlowSimulator()
+    shared = (_link(0, bandwidth=100.0),)
+    ends = []
+    sim.add_flows(
+        [(shared, 300.0), (shared, 300.0)], start_time=0.0, on_complete=ends.append
+    )
+    sim.run()
+    solved = sim.stats.as_dict()
+    assert solved["allocator_invocations"] == 1
+    sim.add_flows(
+        [(shared, 300.0), (shared, 300.0)], start_time=ends[0], on_complete=ends.append
+    )
+    sim.run()
+    assert sim.stats.as_dict() == solved
     assert ends == [pytest.approx(6.0), pytest.approx(12.0)]
 
 
@@ -376,9 +397,9 @@ def test_path_meta_and_isolated_memo_invalidate_on_link_change():
     """Re-injecting a cached item list after a degrade uses the new capacity.
 
     Both per-path static bottlenecks (the solo fast path) and the
-    isolated-batch allocation memo key on object identity, so a capacity
-    change must explicitly drop them — otherwise the same (path, items)
-    objects would replay rates computed against the healthy fabric.
+    self-contained batch memo key on path identity, so a capacity change
+    must explicitly drop them — otherwise the same path objects would replay
+    rates computed against the healthy fabric.
     """
     from repro.topology.base import NodeKind, Topology
 

@@ -108,6 +108,40 @@ def test_update_writes_a_baseline_cli_round_trip(gate, tmp_path, capsys):
     assert gate.main([str(slow), "--baseline", str(baseline)]) == 1
 
 
+def test_counters_are_pinned_exactly_and_refreshed_by_update(gate, tmp_path):
+    record = {
+        "bench": "flow_mode", "fabric": "fattree-faulted", "gpus": 8,
+        "network_mode": "flow", "wall_time_s": 0.025,
+        "steady_iteration_s": 0.125, "iterations": 3,
+        "allocator_invocations": 133, "rerated_components": 133,
+        "rerated_flows": 404,
+    }
+    counters = gate.distill_counters([record])
+    assert counters == {
+        "flow_mode:fattree-faulted:8:allocator_invocations": 133,
+        "flow_mode:fattree-faulted:8:rerated_components": 133,
+        "flow_mode:fattree-faulted:8:rerated_flows": 404,
+    }
+    baseline = {"ratios": {}, "steady": {}, "counters": dict(counters)}
+    assert gate.check({}, {}, baseline, tolerance=1.3, counters=counters) == []
+    # One extra solver pass is drift, with no tolerance.
+    drifted = dict(counters)
+    drifted["flow_mode:fattree-faulted:8:allocator_invocations"] += 1
+    failures = gate.check({}, {}, baseline, tolerance=1.3, counters=drifted)
+    assert len(failures) == 1 and "counter drift" in failures[0]
+    # --update writes the counters section; the refreshed gate then passes
+    # on the same output and fails on drifted output.
+    bench = tmp_path / "bench.txt"
+    bench.write_text("BENCH " + json.dumps(record) + "\n")
+    path = tmp_path / "baseline.json"
+    assert gate.main([str(bench), "--baseline", str(path), "--update"]) == 0
+    assert json.loads(path.read_text())["counters"] == counters
+    assert gate.main([str(bench), "--baseline", str(path)]) == 0
+    record["rerated_flows"] = 405
+    bench.write_text("BENCH " + json.dumps(record) + "\n")
+    assert gate.main([str(bench), "--baseline", str(path)]) == 1
+
+
 def test_tolerance_overrides_match_exact_and_prefix(gate):
     overrides = {
         "flow_mode:electrical:8": 2.0,

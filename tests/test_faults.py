@@ -26,6 +26,7 @@ from repro.errors import (
     FaultError,
     LinkFailedError,
 )
+from repro.experiments.backends import _FAULT_SUPPORT
 from repro.experiments.contention import (
     DEGRADED_BACKENDS,
     degraded_fabric_scenario,
@@ -545,6 +546,40 @@ def test_backend_capability_validation():
     )
     with pytest.raises(ConfigurationError, match="does not support fault kinds"):
         run_scenario(_tiny_scenario("fattree", {"faults": port_fault}))
+
+
+#: One event per kind some backend/mode combination cannot apply.
+_REJECTABLE_EVENTS = (
+    {"time": 0.0, "kind": "link_fail", "src": "x"},
+    {"time": 0.0, "kind": "ocs_port_fail", "rail": 0, "port": 0},
+)
+
+
+@pytest.mark.parametrize(
+    "backend,mode",
+    [key for key, kinds in sorted(_FAULT_SUPPORT.items()) if set(FaultKind) - kinds],
+)
+def test_factories_reject_fault_kinds_outside_the_support_table(backend, mode):
+    """Each factory validates its ``faults`` knob against the support table."""
+    from repro.experiments.backends import create_network, fault_support
+    from repro.parallelism.config import ParallelismConfig
+    from repro.parallelism.mesh import DeviceMesh
+
+    supported = fault_support(backend, mode)
+    event = next(
+        event for event in _REJECTABLE_EVENTS
+        if FaultKind(event["kind"]) not in supported
+    )
+    cluster = perlmutter_testbed(num_nodes=2)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), cluster)
+    knobs = {} if backend == "ideal" else {"network_mode": mode}
+    with pytest.raises(
+        ConfigurationError,
+        match=f"backend '{backend}' in {mode} network mode does not support",
+    ):
+        create_network(
+            backend, cluster, mesh, faults=as_fault_plan([event]), **knobs
+        )
 
 
 @pytest.mark.parametrize(
