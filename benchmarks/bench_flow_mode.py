@@ -68,6 +68,7 @@ STAT_KEYS = (
     "allocator_invocations",
     "rerated_components",
     "rerated_flows",
+    "memo_hits",
 )
 
 #: The fault plan behind the ``fattree-faulted`` benchmark variant.

@@ -31,6 +31,7 @@ STAT_KEYS = (
     "allocator_invocations",
     "rerated_components",
     "rerated_flows",
+    "memo_hits",
 )
 
 

@@ -31,9 +31,10 @@ Simulation *results* are also pinned: the flow-mode ``steady_iteration_s``
 values are bitwise-deterministic for a given code version, so they are
 compared exactly (within 1e-9 relative) to catch accidental semantic drift
 riding along with a perf change.  So is the allocator's work: the flow-mode
-records' ``allocator_invocations``, ``rerated_components`` and
-``rerated_flows`` are machine-independent counts, pinned in the baseline's
-``counters`` section and compared by equality with no tolerance.
+records' ``allocator_invocations``, ``rerated_components``,
+``rerated_flows`` and ``memo_hits`` are machine-independent counts, pinned
+in the baseline's ``counters`` section and compared by equality with no
+tolerance.
 
 Usage::
 
@@ -71,7 +72,12 @@ DEFAULT_ABSOLUTE_SLACK = 0.75
 #: this only absorbs printing round-trips).
 STEADY_REL_TOL = 1e-9
 #: Deterministic work counters carried by flow-mode BENCH records.
-COUNTER_FIELDS = ("allocator_invocations", "rerated_components", "rerated_flows")
+COUNTER_FIELDS = (
+    "allocator_invocations",
+    "rerated_components",
+    "rerated_flows",
+    "memo_hits",
+)
 
 
 def parse_bench_lines(lines: Iterable[str]) -> List[dict]:

@@ -21,12 +21,13 @@ Three things make the engine scale to 10k-endpoint fabrics:
   such components: flows whose bottleneck sets are unaffected keep their
   rates, their progress is tracked lazily per flow, and their completion
   estimates stay queued in a lazy heap instead of being rescanned per event.
-* **One memo for self-contained batches** — a batch that shares links with
-  nobody outside itself has max–min fair rates that are a pure function of
-  its ordered paths and the topology version, so each route list is solved
-  once and its rates replayed thereafter.  Full batches also record the
-  bookkeeping that lets a recurring shape skip per-flow registration and
-  completion math entirely (see :class:`_BatchShape`).
+* **One allocation memo** — max–min fair rates are a pure function of the
+  ordered paths and the live capacities, so every solve site (a
+  self-contained batch, and a re-rated sharing component) looks its ordered
+  route list up before solving: each list is solved once per topology
+  version and its rates replayed thereafter.  Full self-contained batches
+  also record the bookkeeping that lets a recurring shape skip per-flow
+  registration and completion math entirely (see :class:`_BatchShape`).
 
 Every allocation is exact.  The one optional knob, ``fill_workers``,
 water-fills large disjoint sharing components concurrently in a process
@@ -47,6 +48,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -84,6 +87,9 @@ _PARALLEL_MIN_FLOWS = 256
 #: path costs about the same as seal validation plus the bulk sweep.
 _SEALED_MIN_FLOWS = 32
 
+#: Entry cap of the allocation memo, which is cleared wholesale on reaching it.
+_MEMO_MAX_ENTRIES = 4096
+
 #: Deferred route: called at the flow's start event to resolve the path.
 #: Circuit-switched fabrics install a collective's circuits *after* its flows
 #: are scheduled (the switching delay separates the two), so the route over
@@ -94,10 +100,25 @@ PathResolver = Callable[[], Sequence[Link]]
 
 LinkKey = Tuple[str, str, int]
 
+#: Allocation memo key: (topology version, hash of the ordered path ids).
+MemoKey = Tuple[Optional[int], int]
+
 
 def _flow_id_of(flow: "Flow") -> int:
     """Sort key for deterministic iteration over flow sets."""
     return flow.flow_id
+
+
+def _memo_key(version: Optional[int], paths: Sequence[Tuple[Link, ...]]) -> MemoKey:
+    """Allocation memo key of an ordered route list (see ``_memo_lookup``).
+
+    Only the hash of the path identities is kept, not the id tuple itself:
+    the stored anchors settle identity (and any hash collision) on a hit.
+    """
+    # From a list, not ``map``: ``tuple()`` over an iterator allocates by
+    # guess and resizes, which left about 1 MiB more peak RSS on a faulted
+    # 128-GPU fat tree.
+    return (version, hash(tuple([id(path) for path in paths])))
 
 
 class AllocatorStats:
@@ -113,6 +134,7 @@ class AllocatorStats:
         "allocator_invocations",
         "rerated_components",
         "rerated_flows",
+        "memo_hits",
     )
 
     def __init__(self) -> None:
@@ -122,12 +144,16 @@ class AllocatorStats:
         self.allocator_invocations = 0
         self.rerated_components = 0
         self.rerated_flows = 0
+        #: Allocations served from the allocation memo instead of computed
+        #: (self-contained batches and re-rated components alike).
+        self.memo_hits = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "allocator_invocations": self.allocator_invocations,
             "rerated_components": self.rerated_components,
             "rerated_flows": self.rerated_flows,
+            "memo_hits": self.memo_hits,
         }
 
     def __repr__(self) -> str:
@@ -175,12 +201,14 @@ class _PhantomBatch:
 
 
 class _BatchShape:
-    """Memoized allocation for one self-contained batch's route list.
+    """One allocation memo entry: the rates of one ordered route list.
 
-    A batch that shares links with nobody outside itself has max–min fair
-    rates that depend only on its ordered paths and the live capacities, so
-    the simulator stores one of these per ``(topology version, path ids)``
-    and re-applies ``rates`` to every later batch over the same routes.
+    A set of flows that shares links with nobody outside itself — a
+    self-contained batch, or a sharing component being re-rated — has
+    max–min fair rates that depend only on its ordered paths and the live
+    capacities, so the simulator stores one of these per ``(topology
+    version, path ids)`` and re-applies ``rates`` (an ``array('d')``, in
+    route-list order) to every later flow set over the same routes.
 
     Synchronized steady state goes further: it re-injects identically-shaped
     batches — the same (cached) path objects, the same sizes — once per
@@ -207,7 +235,7 @@ class _BatchShape:
     def __init__(
         self,
         anchors: Tuple[Tuple[Link, ...], ...],
-        rates: List[float],
+        rates: Sequence[float],
         groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]] = None,
         sizes: Tuple[float, ...] = (),
         latencies: Tuple[float, ...] = (),
@@ -217,8 +245,9 @@ class _BatchShape:
         self.rates = rates
         #: (drain_duration, member_indices) per completion-estimate group, in
         #: first-occurrence order (matching the slow path's estimate dict) —
-        #: or ``None`` when the entry cannot be replayed (a partial or small
-        #: batch, or a zero or infinite rate somewhere).
+        #: or ``None`` when the entry cannot be replayed (a re-rated
+        #: component, a partial or small batch, or a zero or infinite rate
+        #: somewhere).
         self.groups = groups
         self.sizes = sizes
         self.latencies = latencies
@@ -750,8 +779,10 @@ class FlowSimulator(Snapshottable):
     batch of arrivals/completions triggers rate recomputation only for the
     connected component of flows sharing links with the change (see the
     module docstring).  A batch that shares links with nobody outside itself
-    skips the closure: its rates come from the one self-contained batch
-    memo, which also feeds the sealed and shape-replay lanes.
+    skips the closure.  Both solve sites — the self-contained batch and the
+    re-rated component — go through the one allocation memo, so an ordered
+    route list is solved once per topology version; its full-batch entries
+    also feed the sealed and shape-replay lanes.
     """
 
     def __init__(
@@ -812,12 +843,12 @@ class FlowSimulator(Snapshottable):
         self._seal_gen = 0
         self._sealed_outstanding = 0
         self._sealed_disturbed: Set[LinkKey] = set()
-        #: The one memo for self-contained batches: (topology version, path
-        #: ids) -> :class:`_BatchShape`, holding the allocation and, for full
-        #: batches, the replay bookkeeping (the sealed lane's other half).
-        self._batch_shapes: Dict[
-            Tuple[Optional[int], Tuple[int, ...]], _BatchShape
-        ] = {}
+        #: The one allocation memo: (topology version, hash of the ordered
+        #: path ids) -> :class:`_BatchShape`, holding the rates of a solved
+        #: (or solo) route list and, for full self-contained batches, the
+        #: replay bookkeeping (the sealed lane's other half).  Read and
+        #: written only through ``_memo_lookup`` and ``_memo_store``.
+        self._batch_shapes: Dict[MemoKey, _BatchShape] = {}
         #: Live phantom batches (shape replays whose links are claimed by
         #: markers); faults materialize them all before touching capacities.
         self._phantoms: Set[_PhantomBatch] = set()
@@ -853,7 +884,7 @@ class FlowSimulator(Snapshottable):
         # continued snapshot reports the same stats as a straight run.
         self._path_meta = {id(meta[0]): meta for meta in self._path_meta.values()}
         self._batch_shapes = {
-            (key[0], tuple(id(anchor) for anchor in shape.anchors)): shape
+            _memo_key(key[0], shape.anchors): shape
             for key, shape in self._batch_shapes.items()
         }
 
@@ -1182,7 +1213,7 @@ class FlowSimulator(Snapshottable):
         """Drop everything derived from the pre-fault fabric.
 
         The path-derived caches — per-path static bottlenecks and the
-        self-contained batch memo — go, so no future batch replays a rate
+        allocation memo — go, so no future batch or re-rate replays a rate
         computed against the old capacity.  Every outstanding sealed batch
         is invalidated too: capacities (or the registry itself) are about to
         change under them.  Phantom batches come back to real per-flow
@@ -1423,67 +1454,100 @@ class FlowSimulator(Snapshottable):
                 heapq.heappush(heap, (estimate, members[0][0].flow_id, -1, members))
         self._sync_completion_event(now)
 
+    def _memo_lookup(
+        self, version: Optional[int], paths: Sequence[Tuple[Link, ...]]
+    ) -> Tuple[MemoKey, Optional[_BatchShape]]:
+        """The allocation memo's key for ``paths`` and its entry, if valid.
+
+        Max–min fair rates are a pure function of the ordered paths and the
+        live capacities, so the key is the topology version (capacity
+        changes bump it, and fault handling clears the memo outright) plus
+        the ordered path identities.  The stored path tuples re-anchor every
+        identity on a hit: a recycled ``id`` (possible on circuit fabrics,
+        whose per-flow resolver paths are not held by the route table) or a
+        hash collision can never replay a stale allocation.
+
+        Both solve sites share entries.  They run the same solver on a route
+        list of fewer than ``_DECOMPOSE_MIN_FLOWS`` or at least
+        ``_VECTORIZE_MIN_FLOWS`` flows; in between, a self-contained batch
+        solves its components one by one where a re-rate solves the list
+        whole, which differs only in the last bit, and only when two
+        independent components tie within the freeze tolerance without
+        being equal.
+        """
+        key = _memo_key(version, paths)
+        shape = self._batch_shapes.get(key)
+        if shape is not None:
+            anchors = shape.anchors
+            if len(anchors) != len(paths) or not all(
+                map(operator.is_, anchors, paths)
+            ):
+                shape = None
+        return key, shape
+
+    def _memo_store(self, key: MemoKey, shape: _BatchShape) -> None:
+        """Store ``shape``; a full memo is cleared first (one size cap)."""
+        shapes = self._batch_shapes
+        if len(shapes) >= _MEMO_MAX_ENTRIES:
+            shapes.clear()
+        shapes[key] = shape
+
     def _self_contained_rates(
         self,
         dirty: List[Flow],
         version: Optional[int],
         solo_rates: Optional[List[float]],
         replay_links: Optional[Set[LinkKey]],
-    ) -> List[float]:
+    ) -> Sequence[float]:
         """Allocation for a self-contained batch, memoized on its route list.
 
-        Max–min fair rates are a pure function of the batch's ordered paths
-        and the live capacities, so the memo key is the tuple of path
-        identities plus the topology version (capacity changes bump the
-        version, and fault handling clears the memo outright).  The stored
-        path tuple re-anchors every identity on a hit — a recycled ``id``
-        (possible on circuit fabrics, whose per-flow resolver paths are not
-        held by the route table) can never replay a stale allocation.
-
-        On a miss the rates are ``solo_rates`` (the per-path bottlenecks,
-        when no two members share a link) or, when that is ``None``, one
-        solve of the batch.  ``replay_links`` is the link set of a full batch
-        large enough to replay; its entry also records the replay
-        bookkeeping.
+        On a memo miss the rates are ``solo_rates`` (the per-path
+        bottlenecks, when no two members share a link) or, when that is
+        ``None``, one solve of the batch.  ``replay_links`` is the link set
+        of a full batch large enough to replay; its entry also records the
+        replay bookkeeping — including on a hit of an entry stored without
+        it (by a component re-rate over the same routes, say), so that such
+        a batch still replays on its next repeat.
         """
-        shapes = self._batch_shapes
-        key = (version, tuple([id(flow.path) for flow in dirty]))
-        shape = shapes.get(key)
-        if shape is not None and all(
-            anchor is flow.path for anchor, flow in zip(shape.anchors, dirty)
-        ):
-            return shape.rates
-        if solo_rates is not None:
-            rates = solo_rates
+        paths = [flow.path for flow in dirty]
+        key, shape = self._memo_lookup(version, paths)
+        if shape is not None:
+            self.stats.memo_hits += 1
+            rates = shape.rates
+            if shape.groups is not None or replay_links is None:
+                return rates
+        elif solo_rates is not None:
+            rates = array("d", solo_rates)
         else:
             stats = self.stats
             stats.allocator_invocations += 1
             stats.rerated_components += 1
             stats.rerated_flows += len(dirty)
             computed = max_min_fair_rates(dirty)
-            rates = [computed[flow.flow_id] for flow in dirty]
-        if len(shapes) >= 4096:
-            shapes.clear()
-        anchors = tuple(flow.path for flow in dirty)
+            rates = array("d", [computed[flow.flow_id] for flow in dirty])
         inf = math.inf
         if replay_links is None or not all(0.0 < rate < inf for rate in rates):
             # ``groups=None``: the replay probe caches the negative.
-            shapes[key] = _BatchShape(anchors, rates)
+            if shape is None:
+                self._memo_store(key, _BatchShape(tuple(paths), rates))
             return rates
         # Taken before the rates are applied, while every member is fresh
         # (``remaining_bytes`` untouched, ``_path_latency`` just registered).
         grouping: Dict[float, List[int]] = {}
         for index, (flow, rate) in enumerate(zip(dirty, rates)):
             grouping.setdefault(flow.remaining_bytes / rate, []).append(index)
-        shapes[key] = _BatchShape(
-            anchors,
-            rates,
-            groups=tuple(
-                (duration, tuple(idxs)) for duration, idxs in grouping.items()
+        self._memo_store(
+            key,
+            _BatchShape(
+                tuple(paths),
+                rates,
+                groups=tuple(
+                    (duration, tuple(idxs)) for duration, idxs in grouping.items()
+                ),
+                sizes=tuple(flow.remaining_bytes for flow in dirty),
+                latencies=tuple(flow._path_latency for flow in dirty),
+                keys=tuple(replay_links),
             ),
-            sizes=tuple(flow.remaining_bytes for flow in dirty),
-            latencies=tuple(flow._path_latency for flow in dirty),
-            keys=tuple(replay_links),
         )
         return rates
 
@@ -1502,19 +1566,15 @@ class FlowSimulator(Snapshottable):
         """
         topology = self.topology
         version = topology.version if topology is not None else None
-        shape = self._batch_shapes.get(
-            (version, tuple([id(flow.path) for flow in batch]))
-        )
+        _key, shape = self._memo_lookup(version, [flow.path for flow in batch])
         if shape is None:
             return False
         groups = shape.groups
         if groups is None:
             return False
-        sizes = shape.sizes
-        for flow, anchor, size in zip(batch, shape.anchors, sizes):
+        for flow, size in zip(batch, shape.sizes):
             if (
-                flow.path is not anchor
-                or flow.remaining_bytes != size
+                flow.remaining_bytes != size
                 or flow._resolver is not None
                 or flow._added_version != version
             ):
@@ -1758,7 +1818,10 @@ class FlowSimulator(Snapshottable):
         active flow keeps its rate and completion estimate.  Flows that share
         no link with anyone (the dominant case on dedicated circuits and
         fully-provisioned rails) bypass progressive filling entirely: their
-        max–min fair rate is the plain path bottleneck.
+        max–min fair rate is the plain path bottleneck.  The closure is
+        looked up in the allocation memo by its flow-id-ordered route list
+        and solved only on a miss: a faulted fabric re-rates the same few
+        components thousands of times.
         """
         link_users = self._link_users
         shared: List[Flow] = []
@@ -1808,22 +1871,33 @@ class FlowSimulator(Snapshottable):
                 # one of them can no longer complete in bulk.
                 self._sealed_disturbed.update(seen_links)
             flows = sorted(affected, key=_flow_id_of)
+            paths = [flow.path for flow in flows]
+            topology = self.topology
+            key, shape = self._memo_lookup(
+                topology.version if topology is not None else None, paths
+            )
             stats = self.stats
-            stats.allocator_invocations += 1
-            stats.rerated_components += 1
-            stats.rerated_flows += len(flows)
-            # The closure above already isolated the sharing component(s), so
-            # dispatch straight to a solver instead of re-decomposing.
-            if self.fill_workers > 1 and len(flows) >= _PARALLEL_MIN_FLOWS:
-                rates = _max_min_fair_rates_parallel(
-                    flows, workers=self.fill_workers
-                )
-            elif len(flows) >= _VECTORIZE_MIN_FLOWS:
-                rates = _max_min_fair_rates_numpy(flows)
+            if shape is not None:
+                stats.memo_hits += 1
+                rates = shape.rates
             else:
-                rates = _max_min_fair_rates_python(flows)
-            for flow in flows:
-                new_rate = rates[flow.flow_id]
+                stats.allocator_invocations += 1
+                stats.rerated_components += 1
+                stats.rerated_flows += len(flows)
+                # The closure above already isolated the sharing
+                # component(s), so dispatch straight to a solver instead of
+                # re-decomposing.
+                if self.fill_workers > 1 and len(flows) >= _PARALLEL_MIN_FLOWS:
+                    solved = _max_min_fair_rates_parallel(
+                        flows, workers=self.fill_workers
+                    )
+                elif len(flows) >= _VECTORIZE_MIN_FLOWS:
+                    solved = _max_min_fair_rates_numpy(flows)
+                else:
+                    solved = _max_min_fair_rates_python(flows)
+                rates = array("d", [solved[flow.flow_id] for flow in flows])
+                self._memo_store(key, _BatchShape(tuple(paths), rates))
+            for flow, new_rate in zip(flows, rates):
                 if new_rate != flow.rate:
                     self._advance_flow(flow, now)
                     flow.rate = new_rate

@@ -1,6 +1,6 @@
 """Cache coverage: route tables, collective-expansion memo, bulk flow batches.
 
-The scaling work leans on three caches, each of which can silently corrupt a
+The scaling work leans on four caches, each of which can silently corrupt a
 simulation if it over-lives its inputs:
 
 * the per-pair route table and per-schedule flow-item lists, keyed on the
@@ -8,12 +8,16 @@ simulation if it over-lives its inputs:
 * the collective-expansion memo, keyed on ``(collective, group, size)`` so
   same-shape collectives share one schedule and different groups never
   collide;
+* the flow simulator's allocation memo, keyed on the topology version and
+  the ordered path identities of a self-contained batch or a re-rated
+  sharing component, and dropped on every link change;
 * the allocator dispatch (python / numpy / component decomposition), which
   must agree with the reference progressive-filling algorithm bit-for-bit.
 """
 
 import math
 import random
+from array import array
 
 import pytest
 
@@ -29,8 +33,10 @@ from repro.parallelism.mesh import DeviceMesh
 from repro.simulator.flow_network import FlowNetworkModel
 from repro.simulator.flows import (
     FlowSimulator,
+    _BatchShape,
     _max_min_fair_rates_numpy,
     _max_min_fair_rates_python,
+    _memo_key,
     max_min_fair_rates,
 )
 from repro.topology.base import Link, LinkKind, NodeKind, Topology, gpu_node_name
@@ -301,7 +307,8 @@ def test_new_item_list_over_cached_paths_replays_without_solving():
         [(shared, 300.0), (shared, 300.0)], start_time=ends[0], on_complete=ends.append
     )
     sim.run()
-    assert sim.stats.as_dict() == solved
+    # No solver work, and the allocation is counted as served by the memo.
+    assert sim.stats.as_dict() == {**solved, "memo_hits": solved["memo_hits"] + 1}
     assert ends == [pytest.approx(6.0), pytest.approx(12.0)]
 
 
@@ -347,6 +354,151 @@ def test_allocator_rejects_nan_free_masked_infinities():
     ]
     rates = max_min_fair_rates(flows)
     assert all(math.isinf(rate) for rate in rates.values())
+
+
+# --------------------------------------------------------------------------- #
+# Allocation memo: re-rated sharing components
+# --------------------------------------------------------------------------- #
+
+
+def _visited_link(sim, path, visitor_starts, visitor_size=100.0):
+    """A long flow on ``path`` plus short visitors joining it one at a time.
+
+    Each visitor re-rates the component {long flow, visitor} on arrival and
+    the long flow alone on departure: two re-rates per visitor, over the
+    same two ordered route lists every time.
+    """
+    anchor = sim.add_flow(path, 10_000.0, start_time=0.0)
+    visitors = [
+        sim.add_flow(path, visitor_size, start_time=start) for start in visitor_starts
+    ]
+    return anchor, visitors
+
+
+def test_component_re_rated_twice_over_the_same_paths_solves_once():
+    sim = FlowSimulator()
+    path = (_link(0, bandwidth=100.0),)
+    anchor, visitors = _visited_link(sim, path, (1.0, 5.0))
+    sim.run()
+    # Both visitors split the link 50/50 for 2 s; the anchor runs at 100 B/s
+    # otherwise: 500 B by t=7, then 9,500 B more.
+    assert [visitor.finish_time for visitor in visitors] == [3.0, 7.0]
+    assert anchor.finish_time == pytest.approx(102.0)
+    # {anchor, visitor} and {anchor} are each solved once; the second
+    # visitor's arrival and departure replay them.
+    assert sim.stats.as_dict() == {
+        "allocator_invocations": 2,
+        "rerated_components": 2,
+        "rerated_flows": 3,
+        "memo_hits": 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "change, solves, hits",
+    (
+        # Capacity mutated in place under a standalone simulator (no topology
+        # version to move): only apply_link_change's memo drop protects it.
+        # The drop re-rates the anchor (solve), the visitor's component is
+        # solved fresh, and the anchor alone replays the drop's entry.
+        ("apply_link_change", 4, 1),
+        # A degrade bumps the topology version, which alone re-keys the memo:
+        # both of the visitor's re-rates solve again.
+        ("version_bump", 4, 0),
+    ),
+)
+def test_link_change_or_version_bump_forces_a_re_solve(change, solves, hits):
+    if change == "apply_link_change":
+        link = _link(0, bandwidth=100.0)
+        sim = FlowSimulator()
+    else:
+        topology = Topology(name="memo")
+        topology.add_node("a", NodeKind.GPU)
+        topology.add_node("b", NodeKind.GPU)
+        link = topology.add_link(
+            "a", "b", bandwidth=100.0, latency=0.0, kind=LinkKind.ELECTRICAL
+        )
+        sim = FlowSimulator(topology=topology)
+    path = (link,)
+    _anchor, (first,) = _visited_link(sim, path, (1.0,))
+    sim.run(until=4.0)
+    assert first.finish_time == 3.0
+    assert sim.stats.allocator_invocations == 2
+    if change == "apply_link_change":
+        link.bandwidth = 50.0
+        sim.apply_link_change([link.key])
+    else:
+        topology.degrade_link(link.link_id, 0.5)
+    second = sim.add_flow(path, 100.0, start_time=5.0)
+    sim.run()
+    # Half the capacity: 25 B/s each, so the visitor takes 4 s, not the 2 s a
+    # stale memo entry would replay.
+    assert second.finish_time == pytest.approx(9.0)
+    assert sim.stats.allocator_invocations == solves
+    assert sim.stats.memo_hits == hits
+
+
+def test_memo_entry_over_other_path_objects_is_never_served():
+    """A key match is not enough: the entry's anchors must be the very paths.
+
+    The memo keys on path *identities* (hashed), so a recycled ``id`` or a
+    hash collision can present an entry stored for different path objects.
+    Seed such entries — equal-content but distinct tuples carrying absurd
+    rates — under exactly the keys the run will look up.
+    """
+    link = _link(0, bandwidth=100.0)
+    path = (link,)
+    impostor = (link,)
+    assert impostor is not path and impostor == path
+    sim = FlowSimulator()
+    for paths in ((path,), (path, path)):
+        sim._batch_shapes[_memo_key(None, paths)] = _BatchShape(
+            (impostor,) * len(paths), array("d", [1e-3] * len(paths))
+        )
+    _anchor, visitors = _visited_link(sim, path, (1.0, 5.0))
+    sim.run()
+    assert [visitor.finish_time for visitor in visitors] == [3.0, 7.0]
+    # Solved for real, then served from the entries the solves replaced.
+    assert sim.stats.allocator_invocations == 2
+    assert sim.stats.memo_hits == 2
+
+
+def test_full_batch_first_stored_by_a_re_rate_still_replays(monkeypatch):
+    """A re-rate's entry for a batch's route list gains replay bookkeeping.
+
+    The first injection of a 32-flow batch joins a flow already on its
+    link, so the batch goes through the component re-rate, and the re-rate
+    after that flow leaves stores exactly the batch's route list (without
+    replay bookkeeping).  The second injection is self-contained and hits
+    that entry; the third must replay the shape.
+    """
+    probes = []
+    replay = FlowSimulator._try_shape_replay
+
+    def counted(self, batch, now):
+        probes.append(replay(self, batch, now))
+        return probes[-1]
+
+    monkeypatch.setattr(FlowSimulator, "_try_shape_replay", counted)
+    sim = FlowSimulator()
+    path = (_link(0, bandwidth=3200.0),)
+    items = [(path, 1000.0)] * 32
+    ends = []
+    early = sim.add_flow(path, 100.0, start_time=0.0)
+    sim.add_flows(items, start_time=0.01, on_complete=ends.append)
+    sim.run()
+    assert early.finish_time < ends[0]
+    solves = sim.stats.allocator_invocations
+    assert solves == 2  # {early, batch} on arrival, then the batch alone
+    sim.add_flows(items, start_time=ends[0], on_complete=ends.append)
+    sim.run()
+    sim.add_flows(items, start_time=ends[1], on_complete=ends.append)
+    sim.run()
+    assert probes[-2:] == [False, True]
+    assert sim.stats.allocator_invocations == solves
+    # Every flow runs at 100 B/s alone on the batch: 10 s per injection.
+    assert ends[1] - ends[0] == pytest.approx(10.0)
+    assert ends[2] - ends[1] == pytest.approx(10.0)
 
 
 # --------------------------------------------------------------------------- #

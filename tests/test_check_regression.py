@@ -113,14 +113,15 @@ def test_counters_are_pinned_exactly_and_refreshed_by_update(gate, tmp_path):
         "bench": "flow_mode", "fabric": "fattree-faulted", "gpus": 8,
         "network_mode": "flow", "wall_time_s": 0.025,
         "steady_iteration_s": 0.125, "iterations": 3,
-        "allocator_invocations": 133, "rerated_components": 133,
-        "rerated_flows": 404,
+        "allocator_invocations": 5, "rerated_components": 5,
+        "rerated_flows": 20, "memo_hits": 136,
     }
     counters = gate.distill_counters([record])
     assert counters == {
-        "flow_mode:fattree-faulted:8:allocator_invocations": 133,
-        "flow_mode:fattree-faulted:8:rerated_components": 133,
-        "flow_mode:fattree-faulted:8:rerated_flows": 404,
+        "flow_mode:fattree-faulted:8:allocator_invocations": 5,
+        "flow_mode:fattree-faulted:8:rerated_components": 5,
+        "flow_mode:fattree-faulted:8:rerated_flows": 20,
+        "flow_mode:fattree-faulted:8:memo_hits": 136,
     }
     baseline = {"ratios": {}, "steady": {}, "counters": dict(counters)}
     assert gate.check({}, {}, baseline, tolerance=1.3, counters=counters) == []
@@ -137,7 +138,12 @@ def test_counters_are_pinned_exactly_and_refreshed_by_update(gate, tmp_path):
     assert gate.main([str(bench), "--baseline", str(path), "--update"]) == 0
     assert json.loads(path.read_text())["counters"] == counters
     assert gate.main([str(bench), "--baseline", str(path)]) == 0
-    record["rerated_flows"] = 405
+    record["rerated_flows"] = 21
+    bench.write_text("BENCH " + json.dumps(record) + "\n")
+    assert gate.main([str(bench), "--baseline", str(path)]) == 1
+    # Memo hits are pinned the same way: a lost hit is drift too.
+    record["rerated_flows"] = 20
+    record["memo_hits"] = 135
     bench.write_text("BENCH " + json.dumps(record) + "\n")
     assert gate.main([str(bench), "--baseline", str(path)]) == 1
 

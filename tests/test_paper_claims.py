@@ -34,11 +34,17 @@ def _scenario(backend: str, **knobs: object) -> Scenario:
 
 
 @lru_cache(maxsize=None)
-def fig8_point(delay: float, provisioning: bool) -> ScenarioResult:
-    """One Fig. 8 point: photonic rails at ``delay``, provisioning on/off."""
+def fig8_point(
+    delay: float, provisioning: bool, mode: str = "analytic"
+) -> ScenarioResult:
+    """One Fig. 8 point: photonic rails at ``delay``, provisioning on/off,
+    priced by the analytic model or simulated at flow level (``mode``)."""
     return run_scenario(
         _scenario(
-            "photonic", reconfiguration_delay=delay, provisioning=provisioning
+            "photonic",
+            reconfiguration_delay=delay,
+            provisioning=provisioning,
+            network_mode=mode,
         )
     )
 
@@ -77,3 +83,21 @@ def test_the_ideal_fabric_bounds_photonic_rails_from_below():
     for delay in DELAYS:
         for provisioning in (False, True):
             assert ideal <= _steady(fig8_point(delay, provisioning))
+
+
+#: Largest relative excess of the flow-level steady iteration over the
+#: analytic one on the provisioned trace.  The measured excess is one
+#: switching delay per steady iteration, so it grows with the delay: 0.0003%
+#: at 10 us up to 2.8% at 100 ms.
+FLOW_EXCESS_LIMIT = 0.05
+
+
+@pytest.mark.parametrize("delay", DELAYS)
+def test_flow_mode_matches_analytic_on_the_provisioned_trace(delay):
+    analytic = fig8_point(delay, True, "analytic").metrics
+    flow = fig8_point(delay, True, "flow").metrics
+    # Exposed reconfiguration — the quantity Fig. 8 argues about — does not
+    # depend on how the transfers between switches are priced.
+    assert flow["exposed_reconfig_time"] == analytic["exposed_reconfig_time"]
+    ratio = flow["steady_iteration_time"] / analytic["steady_iteration_time"]
+    assert 1.0 <= ratio <= 1.0 + FLOW_EXCESS_LIMIT, ratio

@@ -562,3 +562,107 @@ def test_fork_sweeps_equal_independent_straight_runs(seed):
             scenario.name
         )
         assert dict(one.metrics) == dict(other.metrics), scenario.name
+
+
+# --------------------------------------------------------------------------- #
+# Allocation memo transparency: memoized and solved runs are bit-identical
+# --------------------------------------------------------------------------- #
+
+#: Work counters, the only metrics the allocation memo may change.
+_ALLOCATOR_COUNTERS = (
+    "allocator_invocations",
+    "rerated_components",
+    "rerated_flows",
+    "memo_hits",
+)
+
+
+class _MissingMemo(dict):
+    """An allocation memo that stores entries but never serves one."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _random_faulted_fat_tree(rng):
+    """A flow-mode fat tree under a seeded plan of one to three faults."""
+    from dataclasses import replace
+
+    from repro.experiments.contention import degraded_fabric_scenario
+    from repro.simulator.faults import FaultKind, FaultPlan
+
+    _backend, _mode, kinds = _fork_families()[1]  # fattree, flow
+    events = []
+    for _ in range(rng.randint(1, 3)):
+        available = tuple(
+            kind
+            for kind in kinds
+            if kind is not FaultKind.LINK_FAIL
+            or not any(event.kind is FaultKind.LINK_FAIL for event in events)
+        )
+        events.append(
+            _random_fault_event(
+                rng, "fattree", available, round(rng.uniform(0.0, 0.25), 3)
+            )
+        )
+    scenario = degraded_fabric_scenario(
+        "fattree", "healthy", num_nodes=rng.choice((4, 8)), num_iterations=2
+    )
+    knobs = dict(scenario.knobs)
+    knobs["faults"] = FaultPlan(
+        events=tuple(sorted(events, key=lambda event: event.time))
+    )
+    return replace(scenario, knobs=knobs)
+
+
+def _without_counters(metrics):
+    return {
+        key: value
+        for key, value in metrics.items()
+        if key not in _ALLOCATOR_COUNTERS
+    }
+
+
+def _traced_run(scenario):
+    from repro.experiments.session import SimulationSession
+
+    session = SimulationSession.start(scenario)
+    session.run_to(scenario.num_iterations)
+    trace = [iteration.to_dict() for iteration in session.trace.iterations]
+    return session.result(), trace
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_allocation_memo_is_transparent_on_faulted_fat_trees(seed, monkeypatch):
+    """Serving rates from the memo never changes a simulated number.
+
+    The same seeded faulted fat tree runs twice: once as shipped, once with
+    every simulator's memo replaced by one whose lookups always miss, so
+    every self-contained batch and every re-rated component is solved.
+    Iteration times, the full trace and every metric but the work counters
+    must be identical.
+    """
+    scenario = _random_faulted_fat_tree(random.Random(seed))
+    memoized, memoized_trace = _traced_run(scenario)
+
+    init = FlowSimulator.__init__
+
+    def init_without_memo(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._batch_shapes = _MissingMemo()
+
+    monkeypatch.setattr(FlowSimulator, "__init__", init_without_memo)
+    solved, solved_trace = _traced_run(scenario)
+
+    assert list(memoized.iteration_times) == list(solved.iteration_times)
+    assert memoized_trace == solved_trace
+    assert _without_counters(memoized.metrics) == _without_counters(
+        solved.metrics
+    )
+    # Not vacuous: the memo served allocations the defeated run solved.
+    assert solved.metrics["memo_hits"] == 0
+    assert memoized.metrics["memo_hits"] > 0
+    assert (
+        memoized.metrics["allocator_invocations"]
+        < solved.metrics["allocator_invocations"]
+    )
