@@ -91,9 +91,9 @@ class CircuitPlanner:
             return self._group_cache[cache_key]
 
         per_rail: Dict[int, CircuitConfiguration] = {}
-        if self.mesh.is_scaleout_group(ranks):
-            rails = self.mesh.rails_of_group(ranks)
-            for rail in rails:
+        placement = self.mesh.placement(ranks)
+        if placement.scaleout:
+            for rail in placement.rails:
                 members = [r for r in ranks if self.mesh.rail_of(r) == rail]
                 domains = [self.mesh.domain_of(r) for r in members]
                 per_rail[rail] = self._rail_circuits(rail, domains, chain=chain)
@@ -206,7 +206,8 @@ class CircuitPlanner:
         if axis:
             axis_config = self.axis_configuration(axis)
             if axis_config is not None:
-                rails = self.mesh.rails_of_group(op.group) if self.mesh.is_scaleout_group(op.group) else ()
+                placement = self.mesh.placement(op.group)
+                rails = placement.rails if placement.scaleout else ()
                 return RailConfiguration(
                     per_rail={
                         rail: axis_config[rail] for rail in rails if rail in axis_config

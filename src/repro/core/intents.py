@@ -77,8 +77,11 @@ def intent_from_collective(
     op: CollectiveOp, mesh: DeviceMesh, issued_at: float
 ) -> CommIntent:
     """Build a :class:`CommIntent` from an intercepted collective call."""
-    scaleout = mesh.cluster is not None and mesh.is_scaleout_group(op.group)
-    rails = mesh.rails_of_group(op.group) if scaleout else ()
+    rails: Tuple[int, ...] = ()
+    if mesh.cluster is not None:
+        placement = mesh.placement(op.group)
+        if placement.scaleout:
+            rails = placement.rails
     return CommIntent(
         intent_id=next(_INTENT_COUNTER),
         collective=op.collective,

@@ -223,11 +223,14 @@ class OpusShim:
         rail must additionally be *armed* by blocking or hotspot evidence.
         """
         axis = op.parallelism
-        if not axis or not self.mesh.is_scaleout_group(op.group):
+        if not axis:
+            return
+        placement = self.mesh.placement(op.group)
+        if not placement.scaleout:
             return
         if self.options.reactive and self.controller.reactive is not None:
             reactive = self.controller.reactive
-            for rail in self.mesh.rails_of_group(op.group):
+            for rail in placement.rails:
                 predicted = reactive.observe_completion(rail, axis, end_time)
                 if predicted is None or predicted == axis:
                     continue
@@ -251,8 +254,7 @@ class OpusShim:
             return
         if not self.options.provisioning or not self.profiler.frozen:
             return
-        rails = self.mesh.rails_of_group(op.group)
-        for rail in rails:
+        for rail in placement.rails:
             try:
                 self.tracker.observe(rail, axis)
             except ControlPlaneError:

@@ -32,7 +32,7 @@ from ..collectives.primitives import CollectiveOp, CollectiveType
 from ..errors import ConfigurationError, DeadlockError
 from ..topology.devices import ClusterSpec
 from .config import WorkloadConfig
-from .mesh import DeviceMesh, MeshCoordinate
+from .mesh import DeviceMesh
 from .pipeline import ActionKind, PipelinePhase, schedule_for
 
 
@@ -339,13 +339,14 @@ class _DagBuilder:
     # -------------------------- rank helpers --------------------------- #
 
     def _ranks_of(self, stage: int, replica: int) -> Tuple[int, ...]:
-        """All ranks with pipeline coordinate ``stage`` and dp coordinate ``replica``."""
-        ranks = []
-        for rank in self.mesh.ranks():
-            coord = self.mesh.coordinate(rank)
-            if coord.pp == stage and coord.dp == replica:
-                ranks.append(rank)
-        return tuple(ranks)
+        """All ranks with pipeline coordinate ``stage`` and dp coordinate ``replica``.
+
+        The (cp, ep, tp) axes are the innermost, so these ranks form one
+        contiguous block of the rank grid.
+        """
+        block = self.par.cp * self.par.ep * self.par.tp
+        first = (stage * self.par.dp + replica) * block
+        return tuple(range(first, first + block))
 
     def _inner_indices(self) -> List[Tuple[int, int, int]]:
         """All (cp, ep, tp) coordinate combinations (the per-rail replicas)."""
@@ -359,16 +360,11 @@ class _DagBuilder:
     def _rank_at(
         self, stage: int, replica: int, cp: int = 0, ep: int = 0, tp: int = 0
     ) -> int:
-        return self.mesh.rank_of(
-            MeshCoordinate(pp=stage, dp=replica, cp=cp, ep=ep, tp=tp)
-        )
+        return self.mesh.rank_at(stage, replica, cp, ep, tp)
 
     def _dp_group(self, stage: int, cp: int, ep: int, tp: int) -> Tuple[int, ...]:
         """Ranks across the DP axis for fixed (stage, cp, ep, tp)."""
-        return tuple(
-            self._rank_at(stage, replica, cp, ep, tp)
-            for replica in range(self.par.dp)
-        )
+        return self.mesh.group_along("dp", self._rank_at(stage, 0, cp, ep, tp))
 
     # ----------------------------- sizes ------------------------------- #
 

@@ -85,13 +85,9 @@ class GroupRegistry:
             groups: List[CommunicationGroup] = []
             for index, ranks in enumerate(self.mesh.groups_along(axis)):
                 if self.mesh.cluster is not None:
-                    domains = self.mesh.domains_of_group(ranks)
-                    rails = self.mesh.rails_of_group(ranks)
-                    scaleout = self.mesh.is_scaleout_group(ranks)
+                    domains, rails, scaleout = self.mesh.placement(ranks)
                 else:
-                    domains = ()
-                    rails = ()
-                    scaleout = True
+                    domains, rails, scaleout = (), (), True
                 group = CommunicationGroup(
                     name=f"{axis}.{index}",
                     axis=axis,

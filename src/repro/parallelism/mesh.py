@@ -13,12 +13,16 @@ The mesh also answers the placement questions the rest of the library asks:
 * which (scale-up domain, local rank / rail) a global rank maps to;
 * which ranks form each communication group along each axis;
 * whether a group's traffic is scale-up (intra-domain) or scale-out (rail).
+
+Every answer is index arithmetic over the mixed-radix rank grid: along an
+axis, consecutive indices are ``stride`` ranks apart, where ``stride`` is the
+product of the sizes of the axes inside it.  No query scans the ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..topology.devices import ClusterSpec
@@ -40,14 +44,24 @@ class MeshCoordinate:
 
     def along(self, axis: str) -> int:
         """Return the coordinate along ``axis`` (one of ``AXIS_ORDER``)."""
-        try:
-            return getattr(self, axis)
-        except AttributeError as exc:
-            raise ConfigurationError(f"unknown axis {axis!r}") from exc
+        if axis not in AXIS_ORDER:
+            raise ConfigurationError(f"unknown axis {axis!r}")
+        return getattr(self, axis)
 
     def as_dict(self) -> Dict[str, int]:
         """Return the coordinate as an axis → index mapping."""
         return {axis: self.along(axis) for axis in AXIS_ORDER}
+
+
+class GroupPlacement(NamedTuple):
+    """Where one group's ranks live in the hardware."""
+
+    #: Scale-up domains spanned, sorted.
+    domains: Tuple[int, ...]
+    #: Rails (local ranks inside a domain) the ranks attach to, sorted.
+    rails: Tuple[int, ...]
+    #: Whether the group spans more than one scale-up domain.
+    scaleout: bool
 
 
 class DeviceMesh:
@@ -77,6 +91,15 @@ class DeviceMesh:
             "ep": parallelism.ep,
             "tp": parallelism.tp,
         }
+        #: Ranks between consecutive indices along each axis.
+        self._strides: Dict[str, int] = {}
+        stride = 1
+        for axis in reversed(AXIS_ORDER):  # innermost first
+            self._strides[axis] = stride
+            stride *= self._sizes[axis]
+        #: Group placement by member tuple; membership and placement are
+        #: fixed for the lifetime of the mesh.
+        self._placements: Dict[Tuple[int, ...], GroupPlacement] = {}
         if cluster is not None:
             if parallelism.world_size > cluster.num_gpus:
                 raise ConfigurationError(
@@ -123,10 +146,15 @@ class DeviceMesh:
 
     def rank_of(self, coordinate: MeshCoordinate) -> int:
         """Return the global rank at ``coordinate``."""
+        return self.rank_at(
+            coordinate.pp, coordinate.dp, coordinate.cp, coordinate.ep, coordinate.tp
+        )
+
+    def rank_at(self, pp: int, dp: int, cp: int = 0, ep: int = 0, tp: int = 0) -> int:
+        """Return the global rank at the given per-axis indices."""
         rank = 0
-        for axis in AXIS_ORDER:  # outermost first
+        for axis, index in zip(AXIS_ORDER, (pp, dp, cp, ep, tp)):  # outermost first
             size = self._sizes[axis]
-            index = coordinate.along(axis)
             if not 0 <= index < size:
                 raise ConfigurationError(
                     f"coordinate {index} out of range for axis {axis!r} (size {size})"
@@ -148,34 +176,38 @@ class DeviceMesh:
         The group contains every rank that differs from ``rank`` only in the
         ``axis`` coordinate, ordered by that coordinate (ring order).
         """
-        base = self.coordinate(rank).as_dict()
-        members: List[int] = []
-        for index in range(self.size(axis)):
-            coords = dict(base)
-            coords[axis] = index
-            members.append(self.rank_of(MeshCoordinate(**coords)))
-        return tuple(members)
+        self._check_rank(rank)
+        size = self.size(axis)
+        stride = self._strides[axis]
+        first = rank - (rank // stride) % size * stride
+        return tuple(range(first, first + stride * size, stride))
 
     def groups_along(self, axis: str) -> List[Tuple[int, ...]]:
-        """Return every distinct communication group along ``axis``."""
-        seen = set()
-        groups: List[Tuple[int, ...]] = []
-        for rank in self.ranks():
-            group = self.group_along(axis, rank)
-            if group not in seen:
-                seen.add(group)
-                groups.append(group)
-        return groups
+        """Return every distinct communication group along ``axis``.
+
+        Groups are ordered by their lowest rank, which is the order a scan
+        over the ranks first meets them in.
+        """
+        size = self.size(axis)
+        stride = self._strides[axis]
+        span = stride * size
+        return [
+            tuple(range(outer + inner, outer + span, stride))
+            for outer in range(0, self.world_size, span)
+            for inner in range(stride)
+        ]
 
     def pipeline_stage(self, rank: int) -> int:
         """Return the pipeline stage of ``rank``."""
-        return self.coordinate(rank).pp
+        self._check_rank(rank)
+        return rank // self._strides["pp"]
 
     def ranks_of_stage(self, stage: int) -> Tuple[int, ...]:
         """Return every rank hosting pipeline stage ``stage``."""
-        return tuple(
-            rank for rank in self.ranks() if self.coordinate(rank).pp == stage
-        )
+        if not 0 <= stage < self._sizes["pp"]:
+            return ()
+        block = self._strides["pp"]
+        return tuple(range(stage * block, (stage + 1) * block))
 
     # ------------------------------------------------------------------ #
     # Hardware placement
@@ -200,22 +232,39 @@ class DeviceMesh:
         """Return the rail (local rank inside the domain) of ``rank``."""
         return self._require_cluster().rail_of(self.gpu_of(rank))
 
+    def placement(self, group: Sequence[int]) -> GroupPlacement:
+        """Return the domains, rails and scale-out flag of ``group`` (memoized).
+
+        Placement is the identity (see :meth:`gpu_of`), so a rank's domain and
+        rail are its quotient and remainder by the domain size.
+        """
+        key = tuple(group)
+        placement = self._placements.get(key)
+        if placement is None:
+            per_domain = self._require_cluster().scaleup.gpus_per_domain
+            for rank in key:
+                self._check_rank(rank)
+            domains = tuple(sorted({rank // per_domain for rank in key}))
+            rails = tuple(sorted({rank % per_domain for rank in key}))
+            placement = GroupPlacement(domains, rails, len(domains) > 1)
+            self._placements[key] = placement
+        return placement
+
     def is_scaleout_group(self, group: Sequence[int]) -> bool:
         """Return whether a group spans multiple scale-up domains.
 
         Scale-out groups generate rail traffic; intra-domain groups stay on
         the NVLink interconnect.
         """
-        domains = {self.domain_of(rank) for rank in group}
-        return len(domains) > 1
+        return self.placement(group).scaleout
 
     def rails_of_group(self, group: Sequence[int]) -> Tuple[int, ...]:
         """Return the sorted set of rails the group's ranks attach to."""
-        return tuple(sorted({self.rail_of(rank) for rank in group}))
+        return self.placement(group).rails
 
     def domains_of_group(self, group: Sequence[int]) -> Tuple[int, ...]:
         """Return the sorted set of scale-up domains the group's ranks live in."""
-        return tuple(sorted({self.domain_of(rank) for rank in group}))
+        return self.placement(group).domains
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:

@@ -287,9 +287,9 @@ class OCSReconfigurableNetworkModel(NetworkModel):
         if not self.is_scaleout(operation):
             return CommTiming(start=ready_time, end=ready_time + duration)
         group = operation.collective.group
-        domains = self.mesh.domains_of_group(group)
+        domains, rails, _ = self.mesh.placement(group)
         records: List[ReconfigRecord] = []
-        for rail in self.mesh.rails_of_group(group):
+        for rail in rails:
             if self._installed_domains.get(rail) == domains:
                 continue
             changed = self._install(rail, domains)

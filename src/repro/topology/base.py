@@ -28,7 +28,17 @@ import pickle
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -130,6 +140,9 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
+        #: Every node's position in :func:`_natural_key` order (see
+        #: :meth:`_natural_positions`); neighbor lists re-sort on every version.
+        self._natural_position: Dict[str, int] = {}
         self._links: Dict[int, Link] = {}
         self._graph = nx.MultiDiGraph()
         # Plain int rather than itertools.count so id allocation is explicit
@@ -616,9 +629,10 @@ class Topology:
             adjacency: Dict[str, List[Tuple[str, Link]]] = {
                 name: [] for name in self._nodes
             }
+            natural_key = self._natural_positions()
             for node, neighbors in self._graph._adj.items():
                 out = adjacency[node]
-                for neighbor in sorted(neighbors, key=_natural_key):
+                for neighbor in sorted(neighbors, key=natural_key):
                     edges = neighbors[neighbor]
                     if len(edges) == 1:
                         (data,) = edges.values()
@@ -629,18 +643,38 @@ class Topology:
             self._routing_adjacency_version = self._version
         return self._routing_adjacency
 
+    def _natural_positions(self) -> Callable[[str], int]:
+        """Sort key equivalent to :func:`_natural_key`, computed once per node set.
+
+        Names with equal natural keys share a position, so a stable sort on
+        positions orders (and breaks ties) exactly as one on the keys.  Nodes
+        are never removed, so a size mismatch means new nodes.
+        """
+        if len(self._natural_position) != len(self._nodes):
+            keys = {name: _natural_key(name) for name in self._nodes}
+            position: Dict[str, int] = {}
+            previous: Optional[Tuple] = None
+            for name in sorted(keys, key=keys.__getitem__):
+                if keys[name] != previous:
+                    previous = keys[name]
+                    index = len(position)
+                position[name] = index
+            self._natural_position = position
+        return self._natural_position.__getitem__
+
     def _search_lists(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
         """Natural-sorted successor/predecessor name lists, version-cached."""
         if (
             self._search_succ is None
             or self._search_adjacency_version != self._version
         ):
+            natural_key = self._natural_positions()
             self._search_succ = {
-                name: sorted(neighbors, key=_natural_key)
+                name: sorted(neighbors, key=natural_key)
                 for name, neighbors in self._graph._succ.items()
             }
             self._search_pred = {
-                name: sorted(neighbors, key=_natural_key)
+                name: sorted(neighbors, key=natural_key)
                 for name, neighbors in self._graph._pred.items()
             }
             self._search_adjacency_version = self._version

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import CircuitConflictError, CircuitError, TopologyError
-from repro.topology.base import LinkKind, NodeKind, Topology, nic_port_node_name
+from repro.topology.base import (
+    LinkKind,
+    NodeKind,
+    Topology,
+    _natural_key,
+    nic_port_node_name,
+)
 from repro.topology.devices import dgx_h200_cluster, perlmutter_testbed
 from repro.topology.fattree import build_fat_tree_fabric, fat_tree_inventory
 from repro.topology.ocs import Circuit, CircuitConfiguration, OpticalCircuitSwitch
@@ -110,6 +116,23 @@ def test_shortest_path_ties_break_by_name_not_insertion_order():
     assert forward_names == shuffled_names
     # Natural order: the digit run compares as an int, so m2 < m10.
     assert forward_names[0] == "m1"
+
+
+def test_neighbor_lists_follow_natural_keys_across_ties_and_new_nodes():
+    # "m1" and "m01" have equal natural keys, so the sort keeps their link
+    # order, which here is the reverse of their node order.
+    topo = Topology()
+    for name in ("s", "m10", "m1", "m2", "m01"):
+        topo.add_node(name, NodeKind.ELECTRICAL_SWITCH)
+    for name in ("m10", "m01", "m2", "m1"):
+        topo.add_link("s", name, bandwidth=1.0, latency=0.0, kind=LinkKind.ELECTRICAL)
+    topo.shortest_path("s", "m2")
+    topo.add_node("m0", NodeKind.ELECTRICAL_SWITCH)
+    topo.add_link("s", "m0", bandwidth=1.0, latency=0.0, kind=LinkKind.ELECTRICAL)
+    succ, _ = topo._search_lists()
+    routing = [neighbor for neighbor, _ in topo._routing_lists()["s"]]
+    assert succ["s"] == routing == ["m0", "m01", "m1", "m2", "m10"]
+    assert routing == sorted(topo._graph.succ["s"], key=_natural_key)
 
 
 def test_equal_cost_paths_enumerates_all_minimum_hop_paths():
