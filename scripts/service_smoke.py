@@ -15,6 +15,8 @@ Boots the real server as a subprocess and drives it over real HTTP:
 4. **Quarantine.**  Malformed JSON and a capability-violating spec come
    back as structured 400s, land in the quarantine log with their codes,
    and the queue stays healthy (a good job still completes afterwards).
+   A POST with a malformed ``Content-Length`` header gets a ``bad-request``
+   400 and the server still answers ``/healthz``.
 
 Server logs are written under ``--log-dir`` so CI can upload them as an
 artifact when the smoke fails.  Exits non-zero on the first failure.
@@ -23,6 +25,7 @@ artifact when the smoke fails.  Exits non-zero on the first failure.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import signal
 import subprocess
@@ -31,6 +34,7 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.experiments.cli import main as cli_main
 from repro.service import ServiceClient, ServiceError, wait_until_healthy
@@ -134,6 +138,23 @@ def submit_and_wait(url: str) -> dict:
     client = ServiceClient(url)
     job = client.submit(SPEC)
     return client.wait(job["id"], timeout=240.0)
+
+
+def post_with_bad_content_length(url: str) -> tuple:
+    """POST /sweeps with a non-numeric Content-Length; (status, payload)."""
+    address = urlsplit(url)
+    connection = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=30.0
+    )
+    try:
+        connection.putrequest("POST", "/sweeps")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", "abc")
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
 
 
 def result_fingerprint(results: list) -> list:
@@ -261,6 +282,15 @@ def main() -> int:
                     exc.code == 400 and payload["error"] == expected_code,
                     f"bad spec rejected with structured code {expected_code}",
                 )
+        status, payload = post_with_bad_content_length(server_b.url)
+        check(
+            status == 400 and payload["error"] == "bad-request",
+            "malformed Content-Length rejected with code bad-request",
+        )
+        check(
+            server_b.client.healthz()["status"] == "ok",
+            "server still healthy after a malformed Content-Length",
+        )
         quarantine = server_b.client.quarantine()
         check(
             all(quarantine["by_code"].get(code, 0) >= 1 for code, _ in BAD_SPECS),

@@ -19,7 +19,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx", "numpy"],
+    install_requires=["numpy"],
     extras_require={
         # CI installs `.[test]` so this file stays the single source of
         # truth for what the test jobs need beyond the library itself.

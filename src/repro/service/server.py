@@ -6,7 +6,7 @@ Routes
 ==========================  =================================================
 ``POST /sweeps``            submit a sweep spec; 202 + job record, or a
                             structured 400 (``{"error": <code>, ...}``) when
-                            the spec is quarantined
+                            the spec is quarantined or its length invalid
 ``GET /sweeps``             list job summaries (newest last, no results)
 ``GET /sweeps/<id>``        one job: state, accounting, results when done
 ``GET /results/<hash>``     one stored result envelope straight from the
@@ -32,6 +32,9 @@ from typing import Optional, Tuple
 from ..errors import SpecValidationError, StoreError
 from .queue import ExperimentService
 
+#: Largest request body read; the whole body is buffered before parsing.
+MAX_BODY_BYTES = 16 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; ``server.service`` is the :class:`ExperimentService`."""
@@ -47,20 +50,18 @@ class _Handler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------ #
 
-    def _send_json(self, status: int, payload: object) -> None:
+    def _send_json(self, status: int, payload: object, close: bool = False) -> None:
         body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _not_found(self, what: str) -> None:
         self._send_json(404, {"error": "not-found", "message": what})
-
-    def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length).decode("utf-8", errors="replace")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         # BaseHTTPRequestHandler logs to stderr already; keep that (the CI
@@ -117,8 +118,20 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/sweeps":
             self._not_found(f"unknown path {path!r}")
             return
+        raw = self.headers.get("Content-Length") or "0"
         try:
-            job = self.service.submit_text(self._read_body())
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Not a spec, so not quarantined.  The body is unread, so the
+            # connection cannot carry another request.
+            message = f"Content-Length must be in [0, {MAX_BODY_BYTES}], got {raw!r}"
+            self._send_json(400, {"error": "bad-request", "message": message}, close=True)
+            return
+        body = self.rfile.read(length).decode("utf-8", errors="replace")
+        try:
+            job = self.service.submit_text(body)
         except SpecValidationError as exc:
             # The structured rejection contract: stable code + message, and
             # the spec is already in the quarantine log.

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Optional
 from ..errors import SnapshotError
 
 #: Bumped when the meaning of a pickled payload changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -40,8 +40,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from ..errors import SnapshotError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,7 +142,11 @@ class Topology:
         #: :meth:`_natural_positions`); neighbor lists re-sort on every version.
         self._natural_position: Dict[str, int] = {}
         self._links: Dict[int, Link] = {}
-        self._graph = nx.MultiDiGraph()
+        #: Adjacency, ``node -> neighbor -> {link_id: Link}``.  ``_succ[u][v]``
+        #: and ``_pred[v][u]`` are the same dict; a neighbor's entry goes when
+        #: its last parallel link does, so re-adding it moves it to the end.
+        self._succ: Dict[str, Dict[str, Dict[int, Link]]] = {}
+        self._pred: Dict[str, Dict[str, Dict[int, Link]]] = {}
         # Plain int rather than itertools.count so id allocation is explicit
         # snapshot state (a count object cannot be rewound or compared).
         self._link_counter = 0
@@ -152,7 +154,7 @@ class Topology:
         #: Flattened routing adjacency (node -> [(neighbor, link), ...]) with
         #: parallel links pre-resolved to min link_id; rebuilt lazily when
         #: the version moves.  A whole-fabric BFS visits every edge, so the
-        #: per-edge cost of the multigraph's nested dicts dominates at 10k
+        #: per-edge cost of the nested adjacency dicts dominates at 10k
         #: endpoints without this.
         self._routing_adjacency: Optional[Dict[str, List[Tuple[str, Link]]]] = None
         self._routing_adjacency_version = -1
@@ -188,7 +190,8 @@ class Topology:
             raise TopologyError(f"node {name!r} already exists in {self.name!r}")
         node = Node(name=name, kind=kind, attrs=dict(attrs))
         self._nodes[name] = node
-        self._graph.add_node(name, kind=kind, **attrs)
+        self._succ[name] = {}
+        self._pred[name] = {}
         return node
 
     def add_link(
@@ -213,7 +216,7 @@ class Topology:
             link_id=link_id,
         )
         self._links[link.link_id] = link
-        self._graph.add_edge(src, dst, key=link.link_id, link=link)
+        self._attach(link)
         self._version += 1
         return link
 
@@ -235,7 +238,7 @@ class Topology:
         link = self._links.pop(link_id, None)
         if link is None:
             raise TopologyError(f"link id {link_id} does not exist")
-        self._graph.remove_edge(link.src, link.dst, key=link_id)
+        self._detach(link)
         self._original_bandwidth.pop(link_id, None)
         self._version += 1
 
@@ -256,7 +259,7 @@ class Topology:
         link = self._links.pop(link_id, None)
         if link is None:
             raise TopologyError(f"link id {link_id} does not exist")
-        self._graph.remove_edge(link.src, link.dst, key=link_id)
+        self._detach(link)
         self._failed_links[link_id] = link
         self._version += 1
         return link
@@ -267,9 +270,21 @@ class Topology:
         if link is None:
             raise TopologyError(f"link id {link_id} is not failed")
         self._links[link_id] = link
-        self._graph.add_edge(link.src, link.dst, key=link_id, link=link)
+        self._attach(link)
         self._version += 1
         return link
+
+    def _attach(self, link: Link) -> None:
+        parallel = self._succ[link.src].setdefault(link.dst, {})
+        self._pred[link.dst][link.src] = parallel
+        parallel[link.link_id] = link
+
+    def _detach(self, link: Link) -> None:
+        parallel = self._succ[link.src][link.dst]
+        del parallel[link.link_id]
+        if not parallel:
+            del self._succ[link.src][link.dst]
+            del self._pred[link.dst][link.src]
 
     def link_failed(self, link_id: int) -> bool:
         """Whether ``link_id`` is currently failed (out of service but known)."""
@@ -393,11 +408,6 @@ class Topology:
         self._original_bandwidth = dict(payload["original"])
         self._link_counter = max(self._link_counter, payload["link_counter"])
         self._version = max(self._version, payload["version"]) + 1
-        self._routing_adjacency = None
-        self._routing_adjacency_version = -1
-        self._search_succ = None
-        self._search_pred = None
-        self._search_adjacency_version = -1
 
     def fork(self) -> "Topology":
         """An independent deep copy (links, graph, and health state)."""
@@ -411,10 +421,6 @@ class Topology:
         """Return the node called ``name``."""
         self._require_node(name)
         return self._nodes[name]
-
-    def has_node(self, name: str) -> bool:
-        """Return whether a node called ``name`` exists."""
-        return name in self._nodes
 
     def link(self, link_id: int) -> Link:
         """Return the link with id ``link_id``."""
@@ -445,29 +451,21 @@ class Topology:
 
     def links_between(self, src: str, dst: str) -> List[Link]:
         """Return every link from ``src`` to ``dst`` (may be empty)."""
-        if not self._graph.has_edge(src, dst):
-            return []
-        return [data["link"] for data in self._graph[src][dst].values()]
+        return list(self._succ.get(src, {}).get(dst, {}).values())
 
     def out_links(self, node: str) -> List[Link]:
         """Return all links leaving ``node``."""
         self._require_node(node)
         return [
-            data["link"]
-            for _, _, data in self._graph.out_edges(node, data=True)
+            link for parallel in self._succ[node].values() for link in parallel.values()
         ]
 
     def in_links(self, node: str) -> List[Link]:
         """Return all links entering ``node``."""
         self._require_node(node)
         return [
-            data["link"]
-            for _, _, data in self._graph.in_edges(node, data=True)
+            link for parallel in self._pred[node].values() for link in parallel.values()
         ]
-
-    def degree(self, node: str) -> int:
-        """Return the number of outgoing links of ``node``."""
-        return len(self.out_links(node))
 
     @property
     def num_nodes(self) -> int:
@@ -492,17 +490,16 @@ class Topology:
         pair resolve to the smallest ``link_id``.  Raises
         :class:`TopologyError` if no path exists.
 
-        The search runs over flattened, version-cached neighbor lists — it
-        is on the route-resolution hot path of the flow-level simulator,
-        where the networkx view wrappers would dominate.
+        The search runs over the version-cached, natural-sorted neighbor
+        lists of :meth:`_search_lists` rather than re-sorting per call.
         """
         self._require_node(src)
         self._require_node(dst)
         if src == dst:
             return []
         graph_succ, graph_pred = self._search_lists()
-        # Bidirectional BFS, same expansion policy as networkx's
-        # bidirectional_shortest_path except for the sorted neighbor order.
+        # Bidirectional BFS: grow the smaller fringe one level at a time and
+        # stop at the first node both searches have reached.
         pred: Dict[str, Optional[str]] = {src: None}
         succ: Dict[str, Optional[str]] = {dst: None}
         forward_fringe = [src]
@@ -547,15 +544,15 @@ class Topology:
         while cursor is not None:
             node_path.append(cursor)
             cursor = succ[cursor]
-        adjacency = self._graph._adj
+        adjacency = self._succ
         links: List[Link] = []
         for hop_src, hop_dst in zip(node_path, node_path[1:]):
             edges = adjacency[hop_src][hop_dst]
             if len(edges) == 1:
-                (data,) = edges.values()
+                (link,) = edges.values()
             else:
-                data = edges[min(edges)]
-            links.append(data["link"])
+                link = edges[min(edges)]
+            links.append(link)
         return links
 
     def paths_from(
@@ -630,15 +627,15 @@ class Topology:
                 name: [] for name in self._nodes
             }
             natural_key = self._natural_positions()
-            for node, neighbors in self._graph._adj.items():
+            for node, neighbors in self._succ.items():
                 out = adjacency[node]
                 for neighbor in sorted(neighbors, key=natural_key):
                     edges = neighbors[neighbor]
                     if len(edges) == 1:
-                        (data,) = edges.values()
+                        (link,) = edges.values()
                     else:
-                        data = edges[min(edges)]
-                    out.append((neighbor, data["link"]))
+                        link = edges[min(edges)]
+                    out.append((neighbor, link))
             self._routing_adjacency = adjacency
             self._routing_adjacency_version = self._version
         return self._routing_adjacency
@@ -671,11 +668,11 @@ class Topology:
             natural_key = self._natural_positions()
             self._search_succ = {
                 name: sorted(neighbors, key=natural_key)
-                for name, neighbors in self._graph._succ.items()
+                for name, neighbors in self._succ.items()
             }
             self._search_pred = {
                 name: sorted(neighbors, key=natural_key)
-                for name, neighbors in self._graph._pred.items()
+                for name, neighbors in self._pred.items()
             }
             self._search_adjacency_version = self._version
         assert self._search_pred is not None
@@ -763,19 +760,9 @@ class Topology:
             return float("inf")
         return min(link.bandwidth for link in path)
 
-    def connected(self, src: str, dst: str) -> bool:
-        """Return whether a directed path from ``src`` to ``dst`` exists."""
-        self._require_node(src)
-        self._require_node(dst)
-        return nx.has_path(self._graph, src, dst)
-
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Return a copy of the underlying networkx graph."""
-        return self._graph.copy()
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._nodes.values())

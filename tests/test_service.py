@@ -351,3 +351,28 @@ def test_http_rejects_malformed_body(server):
     assert excinfo.value.code == 400
     payload = json.loads(excinfo.value.read().decode("utf-8"))
     assert payload["error"] == "malformed-json"
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", str(10**15)])
+def test_http_rejects_a_bad_content_length_and_keeps_serving(server, length):
+    import http.client
+    from urllib.parse import urlsplit
+
+    address = urlsplit(server.url)
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=30.0)
+    try:
+        connection.putrequest("POST", "/sweeps")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        payload = json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+    assert response.status == 400
+    assert payload["error"] == "bad-request"
+    assert response.getheader("Connection") == "close"
+    client = ServiceClient(server.url)
+    assert client.healthz()["status"] == "ok"
+    # A header fault is not a spec rejection: nothing is quarantined.
+    assert client.quarantine()["total"] == 0

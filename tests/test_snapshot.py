@@ -8,6 +8,7 @@ end-to-end checkpoint file format; cross-layer equality over many seeds
 lives in ``tests/test_properties.py``.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from repro.experiments.contention import (
     shared_uplink_incast_scenario,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.session import SimulationSession
+from repro.experiments.session import CHECKPOINT_MAGIC, SimulationSession
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.flows import FlowSimulator
 from repro.simulator.snapshot import (
@@ -252,6 +253,26 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     with pytest.raises(SnapshotError):
         SimulationSession.read_header(path)
     with pytest.raises(SnapshotError):
+        SimulationSession.load(path)
+
+
+def test_checkpoint_of_an_older_format_is_rejected_before_its_payload(tmp_path):
+    # The payload is not a pickle: unpickling it would fail with a different
+    # message, so a "format version" error proves it was never touched.
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(
+        pickle.dumps(
+            {
+                "format": CHECKPOINT_MAGIC,
+                "version": SNAPSHOT_FORMAT_VERSION - 1,
+                "kind": "SimulationSession",
+                "payload": b"\x80not a pickle",
+            }
+        )
+    )
+    with pytest.raises(SnapshotError, match="format version"):
+        SimulationSession.read_header(path)
+    with pytest.raises(SnapshotError, match="format version"):
         SimulationSession.load(path)
 
 

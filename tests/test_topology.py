@@ -132,7 +132,69 @@ def test_neighbor_lists_follow_natural_keys_across_ties_and_new_nodes():
     succ, _ = topo._search_lists()
     routing = [neighbor for neighbor, _ in topo._routing_lists()["s"]]
     assert succ["s"] == routing == ["m0", "m01", "m1", "m2", "m10"]
-    assert routing == sorted(topo._graph.succ["s"], key=_natural_key)
+    out_names = [link.dst for link in topo.out_links("s")]
+    assert routing == sorted(out_names, key=_natural_key)
+
+
+def _switches(*names):
+    topo = Topology()
+    for name in names:
+        topo.add_node(name, NodeKind.ELECTRICAL_SWITCH)
+    return topo
+
+
+def _link(topo, src, dst):
+    return topo.add_link(src, dst, bandwidth=1.0, latency=0.0, kind=LinkKind.ELECTRICAL)
+
+
+def test_removing_a_neighbors_last_link_moves_it_to_the_end_when_re_added():
+    topo = _switches("a", "b", "c", "d")
+    ab = _link(topo, "a", "b")
+    _link(topo, "a", "c")
+    _link(topo, "a", "d")
+    topo.remove_link(ab.link_id)
+    assert [link.dst for link in topo.out_links("a")] == ["c", "d"]
+    _link(topo, "a", "b")
+    assert [link.dst for link in topo.out_links("a")] == ["c", "d", "b"]
+    assert [link.src for link in topo.in_links("b")] == ["a"]
+
+
+def test_fail_and_restore_keep_adjacency_order_in_in_links_and_links_between():
+    topo = _switches("a", "b", "c", "x")
+    first = _link(topo, "a", "x")
+    bx = _link(topo, "b", "x")
+    cx = _link(topo, "c", "x")
+    second = _link(topo, "a", "x")
+    # Failing one of two parallel links keeps the neighbor's entry in place.
+    topo.fail_link(first.link_id)
+    assert topo.in_links("x") == [second, bx, cx]
+    topo.restore_link(first.link_id)
+    assert topo.links_between("a", "x") == [second, first]
+    assert topo.in_links("x") == [second, first, bx, cx]
+    # Failing a neighbor's only link drops its entry; restoring appends it.
+    topo.fail_link(bx.link_id)
+    assert topo.links_between("b", "x") == []
+    assert topo.in_links("x") == [second, first, cx]
+    topo.restore_link(bx.link_id)
+    assert topo.in_links("x") == [second, first, cx, bx]
+    assert topo.links_between("b", "x") == [bx]
+    assert topo.out_links("a") == [second, first]
+
+
+def test_parallel_links_route_over_the_lowest_live_id():
+    topo = _switches("a", "b")
+    low = _link(topo, "a", "b")
+    high = _link(topo, "a", "b")
+    assert topo.shortest_path("a", "b") == [low]
+    assert topo.paths_from("a")["b"] == [low]
+    topo.fail_link(low.link_id)
+    assert topo.shortest_path("a", "b") == [high]
+    assert topo.paths_from("a")["b"] == [high]
+    # Restored, the lower id wins again although it now sits after ``high``.
+    topo.restore_link(low.link_id)
+    assert topo.links_between("a", "b") == [high, low]
+    assert topo.shortest_path("a", "b") == [low]
+    assert topo.paths_from("a")["b"] == [low]
 
 
 def test_equal_cost_paths_enumerates_all_minimum_hop_paths():
